@@ -1,4 +1,4 @@
-//! The FIFO differential-pinning matrix.
+//! The engine's differential-pinning matrices.
 //!
 //! The `QueuePolicy` refactor (DESIGN.md §13) moved memory-controller
 //! service-time decisions out of the enqueue path and into an arbitration
@@ -8,14 +8,11 @@
 //! registered chip preset, for read-heavy and write-heavy workloads, on
 //! both the probe-off and the traced path.
 //!
-//! This module defines that matrix once, for two consumers:
-//!
-//! * `examples/policy_golden.rs` regenerates `tests/golden/policy_fifo.json`
-//!   (run it only when the matrix itself is *intentionally* extended — the
-//!   committed file was captured from the pre-refactor engine and is the
-//!   ground truth the refactor is held to);
-//! * `tests/policy_differential.rs` re-runs the matrix and compares against
-//!   the committed file field by field.
+//! A second matrix, [`run_policy_matrix`], pins what the FIFO matrix does
+//! not reach (the arbitrated back end, the NUMA presets); it was captured
+//! before the engine's two back ends came to share one memory-op front
+//! end. `examples/policy_golden.rs` regenerates both committed files;
+//! `tests/policy_differential.rs` compares against them field by field.
 //!
 //! The matrix shrinks each preset's L2 to 256 KiB so the 3 × 256 KiB STREAM
 //! arrays overflow it and the memory controllers — the refactored layer —
@@ -26,14 +23,20 @@
 
 use t2opt_core::chip::PRESET_NAMES;
 use t2opt_core::json::JsonValue;
+use t2opt_core::mapping::PagePlacement;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
 use t2opt_parallel::Placement;
+use t2opt_sim::policy::PolicyKind;
 use t2opt_sim::{ChipConfig, SimStats};
 
 /// Where the committed pre-refactor capture lives, relative to the
 /// workspace root.
 pub const GOLDEN_PATH: &str = "tests/golden/policy_fifo.json";
+
+/// Where the committed arbitrated + NUMA capture ([`run_policy_matrix`])
+/// lives, relative to the workspace root.
+pub const POLICY_GOLDEN_PATH: &str = "tests/golden/policy_arbitrated.json";
 
 /// Serialized envelope of one matrix capture.
 #[derive(serde::Serialize)]
@@ -64,32 +67,29 @@ fn scatter(chip: &ChipConfig) -> Placement {
     }
 }
 
-/// Runs the full matrix and returns `(name, stats)` per case.
+/// One `n`-element STREAM run on `chip` (≤ 16 scattered threads).
+fn stream_stats(chip: &ChipConfig, n: usize, kernel: StreamKernel, offset: usize) -> SimStats {
+    stream::run_sim(
+        &StreamConfig::fig2(n, offset, chip.max_threads().min(16)),
+        kernel,
+        chip,
+        &scatter(chip),
+    )
+    .stats
+}
+
+/// Runs the full FIFO matrix and returns `(name, stats)` per case.
 pub fn run_matrix() -> Vec<(String, SimStats)> {
     let mut out = Vec::new();
     for preset in PRESET_NAMES {
         // The golden file is a *pre-NUMA* capture: it pins the single-socket
-        // engine bitwise. NUMA presets are covered by their own suites
-        // (`tests/chip_matrix.rs`, the engine unit tests) — including them
-        // here would change the committed matrix, not pin it.
-        if t2opt_core::chip::ChipSpec::preset(preset)
-            .expect("registry preset resolves")
-            .sockets
-            .is_numa()
-        {
+        // engine bitwise. NUMA presets are pinned by [`run_policy_matrix`].
+        let chip = shrunk(preset);
+        if chip.numa.is_numa() {
             continue;
         }
-        let chip = shrunk(preset);
         let threads = chip.max_threads().min(16);
-        let run = |kernel, offset: usize| {
-            stream::run_sim(
-                &StreamConfig::fig2(1 << 15, offset, threads),
-                kernel,
-                &chip,
-                &scatter(&chip),
-            )
-            .stats
-        };
+        let run = |kernel, offset: usize| stream_stats(&chip, 1 << 15, kernel, offset);
         // Read-heavy, fully aliased / advisor-spread, plus a write-heavy
         // kernel: the three MC service regimes (north-bound convoy, spread
         // pipelining, south-bound pressure).
@@ -132,46 +132,78 @@ pub fn run_matrix() -> Vec<(String, SimStats)> {
     out
 }
 
-fn field_u64(obj: &JsonValue, key: &str) -> u64 {
-    obj.as_object()
-        .and_then(|o| o.get(key))
-        .and_then(JsonValue::as_f64)
-        .unwrap_or_else(|| panic!("golden stats missing u64 field {key:?}")) as u64
-}
+/// Elements per array of the triads in [`run_policy_matrix`].
+const POLICY_TRIAD_N: usize = 1 << 14;
 
-fn field_vec(obj: &JsonValue, key: &str) -> Vec<u64> {
-    obj.as_object()
-        .and_then(|o| o.get(key))
-        .and_then(JsonValue::as_array)
-        .unwrap_or_else(|| panic!("golden stats missing array field {key:?}"))
-        .iter()
-        .map(|v| v.as_f64().expect("numeric array element") as u64)
-        .collect()
-}
-
-/// Reconstructs a [`SimStats`] from its golden JSON object. Every field is
-/// named explicitly: if `SimStats` grows a counter, this fails to reflect
-/// it and the differential test's `PartialEq` flags the drift instead of
-/// silently defaulting it.
-pub fn stats_from_json(v: &JsonValue) -> SimStats {
-    SimStats {
-        start_cycle: field_u64(v, "start_cycle"),
-        end_cycle: field_u64(v, "end_cycle"),
-        mc_read_bytes: field_vec(v, "mc_read_bytes"),
-        mc_write_bytes: field_vec(v, "mc_write_bytes"),
-        mc_busy_cycles: field_vec(v, "mc_busy_cycles"),
-        l2_hits: field_u64(v, "l2_hits"),
-        l2_misses: field_u64(v, "l2_misses"),
-        l2_writebacks: field_u64(v, "l2_writebacks"),
-        bank_accesses: field_vec(v, "bank_accesses"),
-        mem_ops: field_u64(v, "mem_ops"),
-        nacks: field_u64(v, "nacks"),
-        flops: field_u64(v, "flops"),
+/// Runs the arbitrated + NUMA matrix and returns `(name, stats)` per case.
+/// Its triads run half the FIFO matrix's size (3 × 128 KiB, still 1.5×
+/// the shrunk L2); its copies keep the full size, because 2 × 128 KiB
+/// would fit the L2. That keeps the 30 cases about as cheap as the FIFO
+/// matrix's 18:
+///
+/// * every single-socket preset × {`read-first`, `fr-fcfs`} × {aliased
+///   triad, write-heavy copy} — the arbitration step, starvation caps,
+///   NACK parking and write-back admission;
+/// * the T2 with 4 outstanding load misses × {`fifo`, `fr-fcfs`} on the
+///   spread triad — hit-under-miss budgets on both back ends;
+/// * every NUMA preset × {first-touch, interleave, remote} × {`fifo`,
+///   `read-first`} on the aliased triad — the controller remap, the remote
+///   read and write-back link crossings on both service paths.
+pub fn run_policy_matrix() -> Vec<(String, SimStats)> {
+    let mut out = Vec::new();
+    let numa = |preset: &str| shrunk(preset).numa.is_numa();
+    for preset in PRESET_NAMES.into_iter().filter(|p| !numa(p)) {
+        for policy in ["read-first", "fr-fcfs"] {
+            let mut chip = shrunk(preset);
+            chip.policy = PolicyKind::parse(policy).expect("registry policy parses");
+            out.push((
+                format!("{preset}/{policy}/triad-aliased"),
+                stream_stats(&chip, POLICY_TRIAD_N, StreamKernel::Triad, 0),
+            ));
+            out.push((
+                format!("{preset}/{policy}/copy-8"),
+                stream_stats(&chip, 1 << 15, StreamKernel::Copy, 8),
+            ));
+        }
     }
+    // Hit-under-miss (4 outstanding load misses) on both back ends: their
+    // budgets wake on different entries once completions leave order.
+    for policy in ["fifo", "fr-fcfs"] {
+        let mut chip = shrunk("ultrasparc-t2");
+        chip.core.outstanding_misses = 4;
+        chip.policy = PolicyKind::parse(policy).expect("registry policy parses");
+        out.push((
+            format!("ultrasparc-t2/{policy}/outstanding-4/triad-spread"),
+            stream_stats(&chip, POLICY_TRIAD_N, StreamKernel::Triad, 16),
+        ));
+    }
+    for preset in PRESET_NAMES.into_iter().filter(|p| numa(p)) {
+        for placement in PagePlacement::ALL {
+            for policy in ["fifo", "read-first"] {
+                let mut chip = shrunk(preset);
+                chip.placement = placement;
+                chip.policy = PolicyKind::parse(policy).expect("registry policy parses");
+                out.push((
+                    format!("{preset}/{}/{policy}/triad-aliased", placement.label()),
+                    stream_stats(&chip, POLICY_TRIAD_N, StreamKernel::Triad, 0),
+                ));
+            }
+        }
+    }
+    out
 }
 
-/// Loads the committed golden file as `(name, stats)` pairs.
-pub fn load_golden(path: &std::path::Path) -> Vec<(String, SimStats)> {
+/// `stats` in the parsed JSON form a golden file stores them in. Two of
+/// these compare every [`SimStats`] field with `==`; a field `SimStats`
+/// gains later shows up on one side only, so it is flagged, not defaulted.
+pub fn stats_json(stats: &SimStats) -> JsonValue {
+    t2opt_core::json::parse_json(&t2opt_core::json::to_json_string(stats))
+        .expect("serialized stats parse")
+}
+
+/// Loads a committed golden file as `(name, stats)` pairs, the stats in
+/// the form [`stats_json`] gives.
+pub fn load_golden(path: &std::path::Path) -> Vec<(String, JsonValue)> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read golden file {}: {e}", path.display()));
     let doc = t2opt_core::json::parse_json(&text).expect("golden file parses");
@@ -184,13 +216,9 @@ pub fn load_golden(path: &std::path::Path) -> Vec<(String, SimStats)> {
         .iter()
         .map(|c| {
             let obj = c.as_object().expect("case is an object");
-            let name = obj
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .expect("case has a name")
-                .to_string();
-            let stats = stats_from_json(obj.get("stats").expect("case has stats"));
-            (name, stats)
+            let name = obj.get("name").and_then(JsonValue::as_str);
+            let stats = obj.get("stats").expect("case has stats").clone();
+            (name.expect("case has a name").to_string(), stats)
         })
         .collect()
 }
