@@ -12,7 +12,7 @@
 //! actually matters for reproducing the paper.
 
 /// A policy mapping team-thread indices to core indices.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub enum Placement {
     /// No pinning: leave threads wherever the OS puts them.
     #[default]

@@ -20,33 +20,36 @@
 //!   while *stores* retire through an 8-entry TSO store buffer whose
 //!   read-for-ownerships drain asynchronously.
 //!
-//! ## Two service paths
+//! ## One front end, two admission back ends
 //!
-//! Memory controllers are first-class event sources: the priority queue
-//! holds thread wake-ups *and* `(next_tick, mc_id)` controller arbitration
-//! wake-ups (see [`crate::policy`] and DESIGN.md §13). Which path a run
-//! takes depends on the configured [`crate::policy::PolicyKind`]:
+//! Every memory op runs one front-end sequence: gang window, load/store
+//! budget, memory-pipe slot, controller routing (with the NUMA remap), the
+//! NACK shell, bank access, L2 lookup, and on a miss the write-back
+//! victim's routing and link crossing and the thread-side bookkeeping.
+//! The service discipline is a back end chosen once per run by
+//! [`crate::policy::PolicyKind::is_fifo`]; it owns only the budget check,
+//! the NACK check, request submission and the arbitration step:
 //!
-//! * **FIFO (the pinned default).** Because FIFO's service decision can
-//!   never depend on requests that arrive later, a request's completion
-//!   time is known the moment it is admitted; the engine resolves it
-//!   inline on the enqueue path, schedules exact thread wake-ups, and
-//!   never emits a controller event — the historical fast path, kept
-//!   statement-for-statement and held to bitwise-identical [`SimStats`]
-//!   by `tests/policy_differential.rs`.
-//! * **Arbitrated (FR-FCFS, read-over-write, …).** Admission only parks
-//!   the request in the controller's pending queue and schedules an
-//!   arbitration event; when the event fires and the southbound channel
-//!   is free, the [`crate::policy::QueuePolicy`] picks among the arrived
-//!   requests, the transfer is serviced, and the waiting thread's wake-up
-//!   is scheduled at the *resolved* completion time. NACKed threads whose
-//!   retry time is unknowable (every queue occupant still unresolved)
-//!   park on the controller and are released by the next service.
+//! * **Inline (FIFO, the pinned default).** FIFO's decision never depends
+//!   on later arrivals, so submission services the request at once:
+//!   channel state, jitter draws and a remote read's link crossing are
+//!   committed in admission order and the thread's wake-up is exact. No
+//!   controller event is ever scheduled.
+//! * **Arbitrated (FR-FCFS, read-over-write, …).** Submission parks the
+//!   request and schedules a `(next_tick, mc_id)` arbitration event (see
+//!   [`crate::policy`], DESIGN.md §13). When the southbound channel is
+//!   free the [`crate::policy::QueuePolicy`] picks among the requests that
+//!   have arrived, and the owner's wake-up is scheduled at the resolved
+//!   completion. Threads whose retry time is still unknown park until a
+//!   service resolves it.
 //!
-//! Full controller queues and full bank miss buffers NACK the request in
-//! both paths. Everything is deterministically seeded and policies are
-//! required to be deterministic, so simulations are bit-reproducible
-//! under every policy.
+//! The inline back end is not the arbitrated one running FIFO: cap-0
+//! `read-first` (oldest-first through arbitration) lands at 1.0000×,
+//! 1.0015× and 0.9945× the inline cycles on the 64-thread spread, aliased
+//! and half-period triads. Deleting it would move every FIFO number, so
+//! `tests/policy_differential.rs` pins both back ends bitwise instead.
+//! Everything is deterministically seeded and policies must be
+//! deterministic, so every run is bit-reproducible.
 //!
 //! ## Why the gang window exists
 //!
@@ -72,9 +75,8 @@ use crate::mc::MemController;
 use crate::policy::{MemRequest, QueuePolicy, ReqClass};
 use crate::stats::SimStats;
 use crate::trace::{Op, Program};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use t2opt_core::mapping::PageHomes;
 use t2opt_telemetry::probe::{NoProbe, SimProbe, StallKind};
 use t2opt_telemetry::timeline::{Timeline, TimelineRecorder, TraceConfig};
@@ -99,34 +101,6 @@ impl ThreadSpec {
 pub struct Simulation {
     cfg: ChipConfig,
     measure_after_barrier: Option<u32>,
-}
-
-/// Drops completed entries (≤ now) from the front of a completion-time
-/// queue.
-#[inline]
-fn prune(q: &mut VecDeque<u64>, now: u64) {
-    while q.front().is_some_and(|&c| c <= now) {
-        q.pop_front();
-    }
-}
-
-/// Drops completed entries (≤ now) from an *unordered* completion list —
-/// the arbitrated path resolves completions out of admission order, so the
-/// front-only [`prune`] would leak entries there.
-#[inline]
-fn retain_future(q: &mut VecDeque<u64>, now: u64) {
-    q.retain(|&c| c > now);
-}
-
-/// An entry in the engine's priority queue. Ties on `(time, seq)` never
-/// reach the event payload (`seq` is globally unique), so thread-only event
-/// streams — the FIFO fast path — pop in exactly the pre-policy order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    /// Wake hardware thread `tid`.
-    Thread(u32),
-    /// Run controller `mc`'s arbitration step.
-    McArb(u32),
 }
 
 impl Simulation {
@@ -241,7 +215,402 @@ impl Simulation {
     /// # Panics
     /// As [`Simulation::run`].
     pub fn run_with_probe<P: SimProbe>(&self, threads: Vec<ThreadSpec>, probe: &mut P) -> SimStats {
-        let cfg = &self.cfg;
+        Engine::new(self, threads, probe).run()
+    }
+}
+
+/// Drops completed entries (≤ now) from the front of a completion-time
+/// queue.
+#[inline]
+fn prune(q: &mut VecDeque<u64>, now: u64) {
+    while q.front().is_some_and(|&c| c <= now) {
+        q.pop_front();
+    }
+}
+
+/// Drops completed entries (≤ now) from an *unordered* completion list —
+/// the arbitrated back end resolves completions out of admission order, so
+/// the front-only [`prune`] would leak entries there.
+#[inline]
+fn retain_future(q: &mut VecDeque<u64>, now: u64) {
+    q.retain(|&c| c > now);
+}
+
+/// What an event wakes.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// Hardware thread `tid`.
+    Thread(u32),
+    /// Controller `mc`'s arbitration step.
+    McArb(u32),
+}
+
+/// An event-queue entry, ordered by `(at, seq)` alone, earliest first (the
+/// heap is a max-heap). `seq` is push order and globally unique, so ties
+/// never reach the event and thread-only streams — the inline back end —
+/// pop in exactly the pre-policy order.
+#[derive(Clone, Copy)]
+struct Event {
+    at: u64,
+    seq: u64,
+    ev: Ev,
+}
+
+impl Ord for Event {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        let key = |e: &Event| (e.at as u128) << 64 | e.seq as u128;
+        key(other).cmp(&key(self))
+    }
+}
+
+impl PartialOrd for Event {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Event {}
+
+/// The event queue and its push counter.
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Event>,
+    seq: u64,
+}
+
+impl Events {
+    /// Schedules `ev` at cycle `at`.
+    #[inline]
+    fn push(&mut self, at: u64, ev: Ev) {
+        self.seq += 1;
+        self.heap.push(Event {
+            at,
+            seq: self.seq,
+            ev,
+        });
+    }
+}
+
+/// When a blocked thread may try again.
+enum Retry {
+    /// At this cycle.
+    At(u64),
+    /// Unknown until a service resolves a blocking entry (arbitrated back
+    /// end only): the thread parks.
+    OnService,
+}
+
+struct ThreadState {
+    core: usize,
+    program: Program,
+    /// An op fetched but not yet committed (blocked, retried on wake-up).
+    pending: Option<Op>,
+    /// Completion times of outstanding load misses.
+    loads: VecDeque<u64>,
+    /// Completion times of in-flight store RFOs (buffer entries).
+    stores: VecDeque<u64>,
+    /// Arbitrated back end: issued load misses not yet serviced (their
+    /// completion times do not exist yet).
+    loads_pending: usize,
+    /// Arbitrated back end: issued store RFOs not yet serviced.
+    stores_pending: usize,
+    /// Latest completion over everything this thread issued.
+    drain_until: u64,
+    /// What the thread is parked on and since when; `None` while a wake-up
+    /// is scheduled. `Barrier` and `Drift` park at a barrier and in the
+    /// gang window; `LoadMiss`/`StoreBuffer` on a full budget whose release
+    /// is unresolved, and `Nack` on a controller's or bank's retry list
+    /// (both arbitrated back end only).
+    parked: Option<(StallKind, u64)>,
+    finished: bool,
+}
+
+impl ThreadState {
+    /// Wakes this parked thread (`tid`) at `at`, recording its stall.
+    fn release<P: SimProbe>(&mut self, tid: u32, at: u64, probe: &mut P, events: &mut Events) {
+        let (kind, since) = self.parked.take().expect("released thread is parked");
+        probe.stall(tid, kind, since, at);
+        events.push(at, Ev::Thread(tid));
+    }
+
+    /// Records the resolved completion of one of this thread's misses and
+    /// returns when it stops blocking the thread.
+    fn resolve(&mut self, store: bool, completion: u64, extra_latency: u64) -> u64 {
+        let ready = if store {
+            self.stores.push_back(completion);
+            completion
+        } else {
+            let data_ready = completion + extra_latency;
+            self.loads.push_back(data_ready);
+            data_ready
+        };
+        self.drain_until = self.drain_until.max(ready);
+        ready
+    }
+}
+
+/// One controller's queue state under the arbitrated back end.
+#[derive(Default)]
+struct McState {
+    /// The socket this controller belongs to (contiguous groups of
+    /// `mcs_per_socket`; always 0 on single-socket chips).
+    socket: u32,
+    /// Admitted requests awaiting arbitration. Each occupies a queue slot
+    /// until its transfer *completes*.
+    pending: Vec<MemRequest>,
+    /// Completion times of serviced transfers still occupying a queue slot.
+    inflight: VecDeque<u64>,
+    /// Threads NACKed while every slot occupant was unresolved (no retry
+    /// time computable); released at the next service.
+    retry: Vec<u32>,
+    /// Earliest scheduled arbitration wake-up (event dedup).
+    arb_at: Option<u64>,
+}
+
+impl McState {
+    /// Schedules controller `mci`'s next arbitration at `at`, deduplicating
+    /// against an earlier-or-equal one already queued.
+    fn schedule(&mut self, events: &mut Events, mci: usize, at: u64) {
+        if self.arb_at.is_none_or(|t| at < t) {
+            self.arb_at = Some(at);
+            events.push(at, Ev::McArb(mci as u32));
+        }
+    }
+}
+
+/// One L2 bank's MSHR state under the arbitrated back end.
+#[derive(Default)]
+struct BankState {
+    /// Misses holding an MSHR whose transfer is not yet serviced.
+    pending: usize,
+    /// Completion times of serviced misses still holding an MSHR.
+    inflight: VecDeque<u64>,
+    /// Threads NACKed on a full MSHR file with no resolved entry.
+    retry: Vec<u32>,
+}
+
+/// The service discipline behind the shared memory-op front end (see the
+/// module docs).
+enum Backend {
+    /// FIFO: completion times resolved at admission.
+    Inline {
+        /// Completion times of requests admitted to each controller's
+        /// finite input queue, in admission order.
+        mc_admitted: Vec<VecDeque<u64>>,
+        /// Completion times of outstanding misses per L2 bank (MSHRs).
+        bank_inflight: Vec<VecDeque<u64>>,
+    },
+    /// A [`QueuePolicy`] decides at controller arbitration events.
+    Arbitrated {
+        policies: Vec<Box<dyn QueuePolicy>>,
+        mc_st: Vec<McState>,
+        bank_st: Vec<BankState>,
+        /// Global admission sequence: id order is age order for the
+        /// policies.
+        next_req: u64,
+        /// Scratch for the arbitration step: indices into `pending` and
+        /// the eligible requests themselves.
+        elig_idx: Vec<usize>,
+        elig_req: Vec<MemRequest>,
+    },
+}
+
+impl Backend {
+    fn new(cfg: &ChipConfig) -> Self {
+        if cfg.policy.is_fifo() {
+            return Backend::Inline {
+                mc_admitted: vec![VecDeque::new(); cfg.n_controllers()],
+                bank_inflight: vec![VecDeque::new(); cfg.n_banks()],
+            };
+        }
+        Backend::Arbitrated {
+            policies: (0..cfg.n_controllers())
+                .map(|_| cfg.policy.build())
+                .collect(),
+            mc_st: (0..cfg.n_controllers())
+                .map(|i| McState {
+                    socket: cfg.socket_of_controller(i) as u32,
+                    ..McState::default()
+                })
+                .collect(),
+            bank_st: (0..cfg.n_banks()).map(|_| BankState::default()).collect(),
+            next_req: 0,
+            elig_idx: Vec::new(),
+            elig_req: Vec::new(),
+        }
+    }
+
+    /// The thread-side budget check: `None` while completion queue `q` plus
+    /// `unresolved` requests leave room under `limit`, else when to retry.
+    #[inline]
+    fn budget(
+        &self,
+        q: &mut VecDeque<u64>,
+        unresolved: usize,
+        limit: usize,
+        now: u64,
+    ) -> Option<Retry> {
+        match self {
+            // Completions resolve in admission order: wait for the oldest.
+            Backend::Inline { .. } => {
+                prune(q, now);
+                (q.len() >= limit).then(|| Retry::At(*q.front().expect("budgets are ≥ 1")))
+            }
+            // Entries may still await arbitration: the wake-up is the
+            // earliest *resolved* completion, if any.
+            Backend::Arbitrated { .. } => {
+                retain_future(q, now);
+                (q.len() + unresolved >= limit)
+                    .then(|| q.iter().min().map_or(Retry::OnService, |&c| Retry::At(c)))
+            }
+        }
+    }
+
+    /// The NACK check of a miss by thread `tid` to controller `mc` and bank
+    /// `bank`: `None` if both have a free slot, else whether the controller
+    /// queue was the full one and when a slot frees. A thread told
+    /// [`Retry::OnService`] is already on the blocking retry list.
+    #[inline]
+    fn nack(
+        &mut self,
+        mc: usize,
+        bank: usize,
+        tid: u32,
+        now: u64,
+        queue_depth: usize,
+        mshr_per_bank: usize,
+    ) -> Option<(bool, Retry)> {
+        match self {
+            Backend::Inline {
+                mc_admitted,
+                bank_inflight,
+            } => {
+                let (q, b) = (&mut mc_admitted[mc], &mut bank_inflight[bank]);
+                prune(q, now);
+                prune(b, now);
+                let mc_full = q.len() >= queue_depth;
+                if !mc_full && b.len() < mshr_per_bank {
+                    return None;
+                }
+                // The slot frees when the entry `depth` places from the
+                // newest completes.
+                let wake = if mc_full {
+                    q[q.len() - queue_depth]
+                } else {
+                    b[b.len() - mshr_per_bank]
+                };
+                Some((mc_full, Retry::At(wake)))
+            }
+            Backend::Arbitrated { mc_st, bank_st, .. } => {
+                let (st, bs) = (&mut mc_st[mc], &mut bank_st[bank]);
+                retain_future(&mut st.inflight, now);
+                retain_future(&mut bs.inflight, now);
+                let mc_full = st.pending.len() + st.inflight.len() >= queue_depth;
+                if !mc_full && bs.pending + bs.inflight.len() < mshr_per_bank {
+                    return None;
+                }
+                // The earliest slot release is the earliest *resolved*
+                // completion; when every occupant still awaits arbitration
+                // the time is unknowable — park until the next service.
+                let (known, retry) = if mc_full {
+                    (st.inflight.iter().min(), &mut st.retry)
+                } else {
+                    (bs.inflight.iter().min(), &mut bs.retry)
+                };
+                if known.is_none() {
+                    retry.push(tid);
+                }
+                Some((mc_full, known.map_or(Retry::OnService, |&c| Retry::At(c))))
+            }
+        }
+    }
+}
+
+/// NUMA routing state, inert on single-socket chips. On a multi-socket chip
+/// the raw mapping picks the *local* controller shape (`raw % mps`); the
+/// page's home socket picks which socket's group serves it. Remote
+/// transfers additionally occupy the shared inter-socket link (one global
+/// busy horizon — the coarse link-occupancy approximation of DESIGN §14)
+/// and pay a remote latency adder.
+struct Numa {
+    on: bool,
+    mcs_per_socket: usize,
+    homes: PageHomes,
+    core_socket: Vec<u32>,
+    link_cycles: u64,
+    link_busy: u64,
+}
+
+impl Numa {
+    /// The controller serving `line` (raw mapping `raw_mc`) when a thread
+    /// on socket `toucher` touches it, and whether it is remote.
+    #[inline]
+    fn route(&mut self, raw_mc: usize, line: u64, toucher: u32) -> (usize, bool) {
+        if !self.on {
+            return (raw_mc, false);
+        }
+        let home = self.homes.home(line, toucher);
+        (
+            home as usize * self.mcs_per_socket + raw_mc % self.mcs_per_socket,
+            home != toucher,
+        )
+    }
+
+    /// Sends one line across the inter-socket link once it is `ready`;
+    /// returns when the crossing ends.
+    fn cross(&mut self, ready: u64) -> u64 {
+        self.link_busy = ready.max(self.link_busy) + self.link_cycles;
+        self.link_busy
+    }
+}
+
+#[derive(Default)]
+struct BarrierState {
+    arrivals: usize,
+    release: u64,
+    waiters: Vec<u32>,
+}
+
+/// One run of a [`Simulation`]: the whole machine state, stepped event by
+/// event.
+struct Engine<'a, P: SimProbe> {
+    cfg: &'a ChipConfig,
+    probe: &'a mut P,
+    measure_after_barrier: Option<u32>,
+    stats: SimStats,
+    cache: L2Cache,
+    mcs: Vec<MemController>,
+    backend: Backend,
+    numa: Numa,
+    bank_busy: Vec<u64>,
+    fpu_busy: Vec<u64>,
+    pipes: Vec<Vec<u64>>,
+    ts: Vec<ThreadState>,
+    barriers: HashMap<u32, BarrierState>,
+    events: Events,
+    live: usize,
+    // Gang drift window: per-thread memory-op counts, gang membership, and
+    // the current minimum over members. Threads leave the gang when they
+    // finish or park at a barrier (else a short-program thread would
+    // freeze the window and deadlock the rest).
+    gang_window: Option<u64>,
+    gang_count: Vec<u64>,
+    in_gang: Vec<bool>,
+    gang_min: u64,
+    drift_parked: Vec<u32>,
+}
+
+impl<'a, P: SimProbe> Engine<'a, P> {
+    fn new(sim: &'a Simulation, threads: Vec<ThreadSpec>, probe: &'a mut P) -> Self {
+        let cfg = &sim.cfg;
         let n_threads = threads.len();
         assert!(n_threads > 0, "need at least one thread");
         let mut occupancy = vec![0usize; cfg.core.n_cores];
@@ -260,934 +629,544 @@ impl Simulation {
                 cfg.core.threads_per_core
             );
         }
-
-        let line_bytes = cfg.l2.line as u64;
-        let mut stats = SimStats::new(cfg.n_controllers(), cfg.n_banks());
-        let mut cache = L2Cache::new(&cfg.l2);
-        let mut mcs: Vec<MemController> = (0..cfg.n_controllers())
-            .map(|i| MemController::new_seeded(&cfg.mem, i as u64 + 1))
-            .collect();
-        // ---- FIFO fast-path occupancy (unused on the arbitrated path) ----
-        // Completion times of requests admitted to each controller's finite
-        // input queue (occupancy + NACK wake times).
-        let mut mc_admitted: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.n_controllers()];
-        // Completion times of outstanding misses per L2 bank (MSHRs).
-        let mut bank_inflight: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.n_banks()];
-
-        // ---- Arbitrated-path state (unused on the FIFO fast path) ----
-        /// One controller's arbitration-side queue state.
-        struct McState {
-            /// The socket this controller belongs to (contiguous groups of
-            /// `mcs_per_socket`; always 0 on single-socket chips).
-            socket: u32,
-            /// Admitted requests awaiting arbitration. Each occupies a
-            /// queue slot until its transfer *completes*.
-            pending: Vec<MemRequest>,
-            /// Completion times of serviced transfers still occupying a
-            /// queue slot.
-            inflight: VecDeque<u64>,
-            /// Threads NACKed while every slot occupant was unresolved
-            /// (no retry time computable); released at the next service.
-            retry: Vec<u32>,
-            /// Earliest scheduled arbitration wake-up (event dedup).
-            arb_at: Option<u64>,
-        }
-        /// One L2 bank's MSHR state on the arbitrated path.
-        struct BankState {
-            /// Misses holding an MSHR whose transfer is not yet serviced.
-            pending: usize,
-            /// Completion times of serviced misses still holding an MSHR.
-            inflight: VecDeque<u64>,
-            /// Threads NACKed on a full MSHR file with no resolved entry.
-            retry: Vec<u32>,
-        }
-        let inline = cfg.policy.is_fifo();
-        let mut policies: Vec<Box<dyn QueuePolicy>> = (0..cfg.n_controllers())
-            .map(|_| cfg.policy.build())
-            .collect();
-        let mut mc_st: Vec<McState> = (0..cfg.n_controllers())
-            .map(|i| McState {
-                socket: cfg.socket_of_controller(i) as u32,
-                pending: Vec::new(),
-                inflight: VecDeque::new(),
-                retry: Vec::new(),
-                arb_at: None,
-            })
-            .collect();
-        let mut bank_st: Vec<BankState> = (0..cfg.n_banks())
-            .map(|_| BankState {
-                pending: 0,
-                inflight: VecDeque::new(),
-                retry: Vec::new(),
-            })
-            .collect();
-        // Global admission sequence: id order is age order for the policies.
-        let mut next_req = 0u64;
-        // Scratch buffers for the arbitration step.
-        let mut elig_idx: Vec<usize> = Vec::new();
-        let mut elig_req: Vec<MemRequest> = Vec::new();
-        let queue_depth = cfg.mem.queue_depth;
-        let mshr_per_bank = cfg.l2.mshr_per_bank.max(1);
-        let mut bank_busy = vec![0u64; cfg.n_banks()];
-        let mut fpu_busy = vec![0u64; cfg.core.n_cores];
-        let mut pipes: Vec<Vec<u64>> = vec![vec![0u64; cfg.core.mem_pipes]; cfg.core.n_cores];
-
-        // ---- NUMA state (inert on single-socket chips) ----
-        // On a multi-socket chip the raw mapping picks the *local* controller
-        // shape (`raw % mps`); the page's home socket picks which socket's
-        // group serves it. Remote transfers additionally occupy the shared
-        // inter-socket link (one global busy horizon — the coarse
-        // link-occupancy approximation of DESIGN §14) and pay the remote
-        // latency adder. When `numa_on` is false none of this code runs and
-        // the engine is statement-for-statement the single-socket machine.
-        let numa_on = cfg.numa.is_numa();
-        let mps = cfg.mcs_per_socket();
-        let numa_link_cycles = cfg.numa.link_cycles_per_line;
-        let numa_read_extra = cfg.numa.remote_read_extra;
-        let numa_write_extra = cfg.numa.remote_write_extra;
-        let mut homes = PageHomes::new(cfg.placement, cfg.numa.n_sockets, cfg.numa.page_bytes);
-        let mut link_busy = 0u64;
-        let core_socket: Vec<u32> = (0..cfg.core.n_cores)
-            .map(|c| cfg.socket_of_core(c) as u32)
-            .collect();
-
-        /// Why a thread currently has no scheduled wake-up.
-        #[derive(PartialEq, Eq)]
-        enum Wait {
-            /// Runnable (wake-up scheduled).
-            None,
-            /// Parked at a barrier (woken by the last arriver).
-            Barrier,
-            /// Parked by the gang drift window (woken by gang progress).
-            Drift,
-            /// Arbitrated path: parked on a full load/store budget whose
-            /// release time is unresolved; woken when one of the thread's
-            /// own requests is serviced.
-            Data,
-            /// Arbitrated path: NACKed with no computable retry time;
-            /// parked on the controller's / bank's retry list and woken by
-            /// its next service.
-            Retry,
-        }
-        struct ThreadState {
-            core: usize,
-            program: Program,
-            pending: Option<Op>,
-            /// Completion times of outstanding load misses.
-            loads: VecDeque<u64>,
-            /// Completion times of in-flight store RFOs (buffer entries).
-            stores: VecDeque<u64>,
-            /// Arbitrated path: issued load misses not yet serviced (their
-            /// completion times do not exist yet).
-            loads_pending: usize,
-            /// Arbitrated path: issued store RFOs not yet serviced.
-            stores_pending: usize,
-            /// Latest completion over everything this thread issued.
-            drain_until: u64,
-            wait: Wait,
-            /// Cycle at which the thread parked (barrier/drift/data/retry),
-            /// for the stall probes.
-            park_start: u64,
-            /// What the thread is parked on ([`Wait::Data`]/[`Wait::Retry`]),
-            /// for the stall probes.
-            park_kind: StallKind,
-            finished: bool,
-        }
-        let mut ts: Vec<ThreadState> = threads
-            .into_iter()
-            .map(|t| ThreadState {
-                core: t.core,
-                program: t.program,
-                pending: None,
-                loads: VecDeque::new(),
-                stores: VecDeque::new(),
-                loads_pending: 0,
-                stores_pending: 0,
-                drain_until: 0,
-                wait: Wait::None,
-                park_start: 0,
-                park_kind: StallKind::LoadMiss,
-                finished: false,
-            })
-            .collect();
-        let store_buffer = cfg.core.store_buffer.max(1);
-        let outstanding_limit = cfg.core.outstanding_misses;
-
-        struct BarrierState {
-            arrivals: usize,
-            release: u64,
-            waiters: Vec<u32>,
-        }
-        let mut barriers: std::collections::HashMap<u32, BarrierState> =
-            std::collections::HashMap::new();
-
-        let mut heap: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push =
-            |heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>, seq: &mut u64, time: u64, tid: u32| {
-                *seq += 1;
-                heap.push(Reverse((time, *seq, Ev::Thread(tid))));
-            };
-        let push_arb =
-            |heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>, seq: &mut u64, time: u64, mci: u32| {
-                *seq += 1;
-                heap.push(Reverse((time, *seq, Ev::McArb(mci))));
-            };
+        let mut events = Events::default();
         for tid in 0..n_threads {
-            push(&mut heap, &mut seq, 0, tid as u32);
+            events.push(0, Ev::Thread(tid as u32));
         }
-        let mut live = n_threads;
-
-        // Gang drift window: per-thread memory-op counts, gang membership,
-        // and the current minimum over members. Threads leave the gang when
-        // they finish or park at a barrier (else a short-program thread
-        // would freeze the window and deadlock the rest).
-        let gang_window = cfg.core.gang_window.map(u64::from);
-        let mut gang_count = vec![0u64; n_threads];
-        let mut in_gang = vec![true; n_threads];
-        let mut gang_min = 0u64;
-        let mut drift_parked: Vec<u32> = Vec::new();
-
-        // Recomputes the gang minimum and wakes drift-parked threads that
-        // are back inside the window. Invoked whenever a count or a
-        // membership changes at the current minimum.
-        macro_rules! gang_update {
-            ($now:expr) => {{
-                let new_min = gang_count
-                    .iter()
-                    .zip(in_gang.iter())
-                    .filter(|&(_, &g)| g)
-                    .map(|(&c, _)| c)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if new_min != gang_min {
-                    gang_min = new_min;
-                    if let Some(w) = gang_window {
-                        let now = $now;
-                        drift_parked.retain(|&p| {
-                            if gang_count[p as usize] < gang_min.saturating_add(w) {
-                                probe.stall(p, StallKind::Drift, ts[p as usize].park_start, now);
-                                ts[p as usize].wait = Wait::None;
-                                push(&mut heap, &mut seq, now, p);
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                    }
-                }
-            }};
+        Engine {
+            cfg,
+            probe,
+            measure_after_barrier: sim.measure_after_barrier,
+            stats: SimStats::new(cfg.n_controllers(), cfg.n_banks()),
+            cache: L2Cache::new(&cfg.l2),
+            mcs: (0..cfg.n_controllers())
+                .map(|i| MemController::new_seeded(&cfg.mem, i as u64 + 1))
+                .collect(),
+            backend: Backend::new(cfg),
+            numa: Numa {
+                on: cfg.numa.is_numa(),
+                mcs_per_socket: cfg.mcs_per_socket(),
+                homes: PageHomes::new(cfg.placement, cfg.numa.n_sockets, cfg.numa.page_bytes),
+                core_socket: (0..cfg.core.n_cores)
+                    .map(|c| cfg.socket_of_core(c) as u32)
+                    .collect(),
+                link_cycles: cfg.numa.link_cycles_per_line,
+                link_busy: 0,
+            },
+            bank_busy: vec![0; cfg.n_banks()],
+            fpu_busy: vec![0; cfg.core.n_cores],
+            pipes: vec![vec![0; cfg.core.mem_pipes]; cfg.core.n_cores],
+            ts: threads
+                .into_iter()
+                .map(|t| ThreadState {
+                    core: t.core,
+                    program: t.program,
+                    pending: None,
+                    loads: VecDeque::new(),
+                    stores: VecDeque::new(),
+                    loads_pending: 0,
+                    stores_pending: 0,
+                    drain_until: 0,
+                    parked: None,
+                    finished: false,
+                })
+                .collect(),
+            barriers: HashMap::new(),
+            events,
+            live: n_threads,
+            gang_window: cfg.core.gang_window.map(u64::from),
+            gang_count: vec![0; n_threads],
+            in_gang: vec![true; n_threads],
+            gang_min: 0,
+            drift_parked: Vec::new(),
         }
+    }
 
-        // Schedules controller `mci`'s next arbitration wake-up at `at`,
-        // deduplicating against an earlier-or-equal one already in the heap.
-        macro_rules! sched_arb {
-            ($mci:expr, $at:expr) => {{
-                let mci = $mci;
-                let at = $at;
-                let st = &mut mc_st[mci];
-                if st.arb_at.map_or(true, |t| at < t) {
-                    st.arb_at = Some(at);
-                    push_arb(&mut heap, &mut seq, at, mci as u32);
-                }
-            }};
-        }
-
-        // Arbitrated-path admission: parks the request in the controller's
-        // pending queue and schedules arbitration for when both the request
-        // and the southbound channel can be ready.
-        macro_rules! admit {
-            ($mci:expr, $req:expr) => {{
-                let mci = $mci;
-                let req: MemRequest = $req;
-                let at = req.arrival.max(mcs[mci].south_busy);
-                mc_st[mci].pending.push(req);
-                sched_arb!(mci, at);
-            }};
-        }
-
-        while let Some(Reverse((now, _s, ev))) = heap.pop() {
-            let tid = match ev {
-                Ev::Thread(tid) => tid,
-                Ev::McArb(mci) => {
-                    // ===== Controller arbitration step =====
-                    let mci = mci as usize;
-                    {
-                        let st = &mut mc_st[mci];
-                        if st.arb_at == Some(now) {
-                            st.arb_at = None;
-                        }
-                        if st.pending.is_empty() {
-                            continue;
-                        }
-                    }
-                    // Don't reserve a busy southbound channel: selecting
-                    // now would commit an order before later arrivals are
-                    // seen — the exact FIFO behavior the policies exist to
-                    // avoid. Re-arbitrate when the channel frees.
-                    let south = mcs[mci].south_busy;
-                    if south > now {
-                        sched_arb!(mci, south);
-                        continue;
-                    }
-                    // Requests that have actually arrived are eligible.
-                    elig_idx.clear();
-                    elig_req.clear();
-                    let next_arrival = {
-                        let st = &mc_st[mci];
-                        for (i, r) in st.pending.iter().enumerate() {
-                            if r.arrival <= now {
-                                elig_idx.push(i);
-                                elig_req.push(r.clone());
-                            }
-                        }
-                        if elig_idx.is_empty() {
-                            Some(
-                                st.pending
-                                    .iter()
-                                    .map(|r| r.arrival)
-                                    .min()
-                                    .expect("pending is non-empty"),
-                            )
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(at) = next_arrival {
-                        sched_arb!(mci, at);
-                        continue;
-                    }
-                    // One service slot: the policy picks, the channel model
-                    // resolves the completion time.
-                    let sel = policies[mci].select(&elig_req, now);
-                    assert!(
-                        sel < elig_req.len(),
-                        "policy {} returned out-of-range index {sel} ({} eligible)",
-                        policies[mci].name(),
-                        elig_req.len()
-                    );
-                    let req = mc_st[mci].pending.swap_remove(elig_idx[sel]);
-                    let out = match req.class {
-                        ReqClass::Writeback => mcs[mci].service_write(now),
-                        ReqClass::DemandRead | ReqClass::StoreRfo => mcs[mci].service_read(now),
-                    };
-                    stats.mc_busy_cycles[mci] += out.busy_added;
-                    {
-                        let st = &mut mc_st[mci];
-                        st.inflight.push_back(out.completion);
-                        // Every older request that was ready and passed
-                        // over counts one step toward its starvation cap.
-                        for p in st.pending.iter_mut() {
-                            if p.arrival <= now && p.id < req.id {
-                                p.bypassed = p.bypassed.saturating_add(1);
-                            }
-                        }
-                    }
-                    policies[mci].on_service(&req);
-                    probe.mc_service(
-                        mci,
-                        now,
-                        out.busy_added,
-                        mc_st[mci].pending.len() + mc_st[mci].inflight.len(),
-                        matches!(req.class, ReqClass::Writeback),
-                    );
-                    // A queue slot frees when this transfer completes: that
-                    // resolves the retry time for threads NACKed while all
-                    // occupants were unresolved.
-                    let slot_free = out.completion.max(now + 1);
-                    for w in std::mem::take(&mut mc_st[mci].retry) {
-                        probe.stall(w, StallKind::Nack, ts[w as usize].park_start, slot_free);
-                        ts[w as usize].wait = Wait::None;
-                        push(&mut heap, &mut seq, slot_free, w);
-                    }
-                    if let (Some(b), Some(owner)) = (req.bank, req.tid) {
-                        // A demand read or RFO: the MSHR it holds resolves,
-                        // and so does the owner thread's wait time. A remote
-                        // line still has to cross the shared inter-socket
-                        // link (occupancy + remote latency adder) before the
-                        // owner's socket sees it.
-                        let completion = if numa_on
-                            && mc_st[mci].socket != core_socket[ts[owner as usize].core]
-                        {
-                            let ls = out.completion.max(link_busy);
-                            link_busy = ls + numa_link_cycles;
-                            link_busy + numa_read_extra
-                        } else {
-                            out.completion
-                        };
-                        {
-                            let bs = &mut bank_st[b];
-                            bs.pending -= 1;
-                            bs.inflight.push_back(completion);
-                        }
-                        for w in std::mem::take(&mut bank_st[b].retry) {
-                            probe.stall(w, StallKind::Nack, ts[w as usize].park_start, slot_free);
-                            ts[w as usize].wait = Wait::None;
-                            push(&mut heap, &mut seq, slot_free, w);
-                        }
-                        let oi = owner as usize;
-                        let t = &mut ts[oi];
-                        let ready = match req.class {
-                            ReqClass::StoreRfo => {
-                                t.stores_pending -= 1;
-                                t.stores.push_back(completion);
-                                completion
-                            }
-                            _ => {
-                                t.loads_pending -= 1;
-                                let data_ready = completion + cfg.mem.extra_latency;
-                                t.loads.push_back(data_ready);
-                                data_ready
-                            }
-                        };
-                        t.drain_until = t.drain_until.max(ready);
-                        if t.finished {
-                            // The owner ran off the end of its program with
-                            // this request still in flight: extend the drain.
-                            stats.end_cycle = stats.end_cycle.max(t.drain_until);
-                        } else if t.wait == Wait::Data {
-                            let kind = t.park_kind;
-                            let start = t.park_start;
-                            t.wait = Wait::None;
-                            probe.stall(owner, kind, start, ready);
-                            push(&mut heap, &mut seq, ready, owner);
-                        }
-                    }
-                    if !mc_st[mci].pending.is_empty() {
-                        let south = mcs[mci].south_busy;
-                        let min_arr = mc_st[mci]
-                            .pending
-                            .iter()
-                            .map(|r| r.arrival)
-                            .min()
-                            .expect("pending is non-empty");
-                        sched_arb!(mci, south.max(min_arr).max(now));
-                    }
-                    continue;
-                }
-            };
-            let op = match ts[tid as usize].pending.take() {
-                Some(op) => op,
-                None => match ts[tid as usize].program.next() {
-                    Some(op) => op,
-                    None => {
-                        {
-                            let t = &mut ts[tid as usize];
-                            t.finished = true;
-                            live -= 1;
-                            stats.end_cycle = stats.end_cycle.max(now).max(t.drain_until);
-                        }
-                        in_gang[tid as usize] = false;
-                        gang_update!(now);
-                        continue;
-                    }
-                },
-            };
-            let core = ts[tid as usize].core;
-            match op {
-                Op::Delay(c) => {
-                    push(&mut heap, &mut seq, now + c as u64, tid);
-                }
-                Op::Compute(flops) => {
-                    let cycles = (flops as f64 / cfg.core.fpu_flops_per_cycle)
-                        .ceil()
-                        .max(1.0) as u64;
-                    let start = now.max(fpu_busy[core]);
-                    if start > now {
-                        probe.stall(tid, StallKind::Fpu, now, start);
-                    }
-                    fpu_busy[core] = start + cycles;
-                    stats.flops += flops as u64;
-                    push(&mut heap, &mut seq, start + cycles, tid);
-                }
-                Op::Barrier(id) => {
-                    let b = barriers.entry(id).or_insert(BarrierState {
-                        arrivals: 0,
-                        release: 0,
-                        waiters: Vec::new(),
-                    });
-                    b.arrivals += 1;
-                    b.release = b.release.max(now);
-                    if b.arrivals == n_threads {
-                        let release = b.release;
-                        let waiters = std::mem::take(&mut b.waiters);
-                        for &w in &waiters {
-                            probe.stall(w, StallKind::Barrier, ts[w as usize].park_start, release);
-                            ts[w as usize].wait = Wait::None;
-                            in_gang[w as usize] = true;
-                            push(&mut heap, &mut seq, release, w);
-                        }
-                        push(&mut heap, &mut seq, release, tid);
-                        probe.barrier_release(id, release);
-                        if self.measure_after_barrier == Some(id) {
-                            stats.reset_window(release);
-                            probe.window_reset(release);
-                        }
-                        gang_update!(release);
-                    } else {
-                        ts[tid as usize].wait = Wait::Barrier;
-                        ts[tid as usize].park_start = now;
-                        b.waiters.push(tid);
-                        // Leave the gang while parked, else a straggler on
-                        // the way to the barrier could deadlock the window.
-                        in_gang[tid as usize] = false;
-                        gang_update!(now);
-                    }
-                }
-                Op::Read(addr) | Op::Write(addr) => {
-                    let is_write = matches!(op, Op::Write(_));
-                    // Gang drift window: a thread too far ahead of the
-                    // slowest gang member parks until the gang catches up.
-                    if let Some(w) = gang_window {
-                        if in_gang[tid as usize]
-                            && gang_count[tid as usize] >= gang_min.saturating_add(w)
-                        {
-                            ts[tid as usize].pending = Some(op);
-                            ts[tid as usize].wait = Wait::Drift;
-                            ts[tid as usize].park_start = now;
-                            drift_parked.push(tid);
-                            continue;
-                        }
-                    }
-                    if !inline {
-                        // ===== Arbitrated (policy) path =====
-                        // Budget checks: in-flight completion times may be
-                        // unresolved (still awaiting arbitration), so the
-                        // wake-up is only known when a resolved entry
-                        // exists; otherwise park until one of this
-                        // thread's requests is serviced.
-                        if !is_write {
-                            let t = &mut ts[tid as usize];
-                            retain_future(&mut t.loads, now);
-                            if t.loads.len() + t.loads_pending >= outstanding_limit {
-                                t.pending = Some(op);
-                                if let Some(&wake) = t.loads.iter().min() {
-                                    probe.stall(tid, StallKind::LoadMiss, now, wake);
-                                    push(&mut heap, &mut seq, wake, tid);
-                                } else {
-                                    t.wait = Wait::Data;
-                                    t.park_kind = StallKind::LoadMiss;
-                                    t.park_start = now;
-                                }
-                                continue;
-                            }
-                        } else {
-                            let t = &mut ts[tid as usize];
-                            retain_future(&mut t.stores, now);
-                            if t.stores.len() + t.stores_pending >= store_buffer {
-                                t.pending = Some(op);
-                                if let Some(&wake) = t.stores.iter().min() {
-                                    probe.stall(tid, StallKind::StoreBuffer, now, wake);
-                                    push(&mut heap, &mut seq, wake, tid);
-                                } else {
-                                    t.wait = Wait::Data;
-                                    t.park_kind = StallKind::StoreBuffer;
-                                    t.park_start = now;
-                                }
-                                continue;
-                            }
-                        }
-                        // Memory-pipe issue slot.
-                        let (pipe_idx, &pipe_free) = pipes[core]
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, &b)| b)
-                            .expect("mem_pipes > 0");
-                        if pipe_free > now {
-                            ts[tid as usize].pending = Some(op);
-                            probe.stall(tid, StallKind::Pipe, now, pipe_free);
-                            push(&mut heap, &mut seq, pipe_free, tid);
-                            continue;
-                        }
-                        let bank = cfg.map.bank(addr) as usize;
-                        let raw_mc = cfg.map.controller(addr) as usize;
-                        let my_sock = core_socket[core];
-                        // NUMA controller remap, as on the FIFO fast path.
-                        // The remote link/latency charge happens at service
-                        // time in the arbitration step, where the completion
-                        // is resolved.
-                        let mc = if numa_on {
-                            let home = homes.home(addr, my_sock);
-                            home as usize * mps + raw_mc % mps
-                        } else {
-                            raw_mc
-                        };
-                        if !cache.contains(addr) {
-                            retain_future(&mut mc_st[mc].inflight, now);
-                            retain_future(&mut bank_st[bank].inflight, now);
-                            let mc_full =
-                                mc_st[mc].pending.len() + mc_st[mc].inflight.len() >= queue_depth;
-                            let bank_full = bank_st[bank].pending + bank_st[bank].inflight.len()
-                                >= mshr_per_bank;
-                            if mc_full || bank_full {
-                                stats.nacks += 1;
-                                ts[tid as usize].pending = Some(op);
-                                pipes[core][pipe_idx] = now + 2;
-                                probe.nack(now, tid, mc, bank, mc_full);
-                                // The earliest slot release is the earliest
-                                // *resolved* completion; when every occupant
-                                // still awaits arbitration the time is
-                                // unknowable — park until the next service.
-                                let known = if mc_full {
-                                    mc_st[mc].inflight.iter().min().copied()
-                                } else {
-                                    bank_st[bank].inflight.iter().min().copied()
-                                };
-                                match known {
-                                    Some(wake) => {
-                                        let retry_at = wake.max(now + 1);
-                                        probe.stall(tid, StallKind::Nack, now, retry_at);
-                                        push(&mut heap, &mut seq, retry_at, tid);
-                                    }
-                                    None => {
-                                        let t = &mut ts[tid as usize];
-                                        t.wait = Wait::Retry;
-                                        t.park_kind = StallKind::Nack;
-                                        t.park_start = now;
-                                        if mc_full {
-                                            mc_st[mc].retry.push(tid);
-                                        } else {
-                                            bank_st[bank].retry.push(tid);
-                                        }
-                                    }
-                                }
-                                continue;
-                            }
-                        }
-                        pipes[core][pipe_idx] = now + 1;
-                        // L2 bank access.
-                        let bank_start = (now + 1).max(bank_busy[bank]);
-                        bank_busy[bank] = bank_start + cfg.l2.bank_cycles;
-                        stats.bank_accesses[bank] += 1;
-                        stats.mem_ops += 1;
-                        probe.bank_access(bank, bank_start);
-                        let old_count = gang_count[tid as usize];
-                        gang_count[tid as usize] += 1;
-                        if old_count == gang_min {
-                            gang_update!(now);
-                        }
-                        let bank_done = bank_start + cfg.l2.bank_cycles;
-                        match cache.access(addr, is_write) {
-                            Access::Hit => {
-                                stats.l2_hits += 1;
-                                let resume = if is_write {
-                                    bank_done
-                                } else {
-                                    bank_start + cfg.l2.hit_latency
-                                };
-                                push(&mut heap, &mut seq, resume, tid);
-                            }
-                            Access::Miss { writeback } => {
-                                stats.l2_misses += 1;
-                                if let Some(victim) = writeback {
-                                    let vraw = cfg.map.controller(victim) as usize;
-                                    let (vmc, varrive) = if numa_on {
-                                        let vh = homes.home(victim, my_sock);
-                                        let arr = if vh != my_sock {
-                                            let ls = bank_done.max(link_busy);
-                                            link_busy = ls + numa_link_cycles;
-                                            link_busy + numa_write_extra
-                                        } else {
-                                            bank_done
-                                        };
-                                        (vh as usize * mps + vraw % mps, arr)
-                                    } else {
-                                        (vraw, bank_done)
-                                    };
-                                    stats.mc_write_bytes[vmc] += line_bytes;
-                                    stats.l2_writebacks += 1;
-                                    next_req += 1;
-                                    admit!(
-                                        vmc,
-                                        MemRequest {
-                                            id: next_req,
-                                            arrival: varrive,
-                                            addr: victim,
-                                            class: ReqClass::Writeback,
-                                            tid: None,
-                                            bank: None,
-                                            bypassed: 0,
-                                        }
-                                    );
-                                }
-                                stats.mc_read_bytes[mc] += line_bytes;
-                                next_req += 1;
-                                admit!(
-                                    mc,
-                                    MemRequest {
-                                        id: next_req,
-                                        arrival: bank_done,
-                                        addr,
-                                        class: if is_write {
-                                            ReqClass::StoreRfo
-                                        } else {
-                                            ReqClass::DemandRead
-                                        },
-                                        tid: Some(tid),
-                                        bank: Some(bank),
-                                        bypassed: 0,
-                                    }
-                                );
-                                bank_st[bank].pending += 1;
-                                let t = &mut ts[tid as usize];
-                                if is_write {
-                                    // Store miss: the RFO drains from the
-                                    // store buffer; the thread moves on.
-                                    t.stores_pending += 1;
-                                    push(&mut heap, &mut seq, bank_done, tid);
-                                } else {
-                                    t.loads_pending += 1;
-                                    if t.loads.len() + t.loads_pending >= outstanding_limit {
-                                        // Budget full (the T2 case): block
-                                        // until data returns — a time that
-                                        // exists only after arbitration.
-                                        if let Some(&wake) = t.loads.iter().min() {
-                                            probe.stall(tid, StallKind::LoadMiss, bank_done, wake);
-                                            push(&mut heap, &mut seq, wake, tid);
-                                        } else {
-                                            t.wait = Wait::Data;
-                                            t.park_kind = StallKind::LoadMiss;
-                                            t.park_start = bank_done;
-                                        }
-                                    } else {
-                                        // Hit-under-miss headroom.
-                                        push(&mut heap, &mut seq, bank_done, tid);
-                                    }
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    // ===== Historical FIFO fast path =====
-                    // Kept statement-for-statement: completion times are
-                    // resolved at admission, no controller events exist, and
-                    // `tests/policy_differential.rs` pins the statistics
-                    // bitwise against a pre-policy capture.
-                    // Loads: outstanding-miss budget; wait for the oldest
-                    // miss to land.
-                    if !is_write {
-                        let t = &mut ts[tid as usize];
-                        prune(&mut t.loads, now);
-                        if t.loads.len() >= outstanding_limit {
-                            let wake = *t.loads.front().unwrap();
-                            t.pending = Some(op);
-                            probe.stall(tid, StallKind::LoadMiss, now, wake);
-                            push(&mut heap, &mut seq, wake, tid);
-                            continue;
-                        }
-                    } else {
-                        // Stores: TSO store buffer; wait for the oldest RFO.
-                        let t = &mut ts[tid as usize];
-                        prune(&mut t.stores, now);
-                        if t.stores.len() >= store_buffer {
-                            let wake = *t.stores.front().unwrap();
-                            t.pending = Some(op);
-                            probe.stall(tid, StallKind::StoreBuffer, now, wake);
-                            push(&mut heap, &mut seq, wake, tid);
-                            continue;
-                        }
-                    }
-                    // Memory-pipe issue slot.
-                    let (pipe_idx, &pipe_free) = pipes[core]
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &b)| b)
-                        .expect("mem_pipes > 0");
-                    if pipe_free > now {
-                        ts[tid as usize].pending = Some(op);
-                        probe.stall(tid, StallKind::Pipe, now, pipe_free);
-                        push(&mut heap, &mut seq, pipe_free, tid);
-                        continue;
-                    }
-                    // NACK checks: a miss needs a controller-queue slot and
-                    // a bank miss buffer; if either is full the request is
-                    // rejected and retried when the blocking entry
-                    // completes. The probe occupies the pipe like any other
-                    // access.
-                    let bank = cfg.map.bank(addr) as usize;
-                    let raw_mc = cfg.map.controller(addr) as usize;
-                    let my_sock = core_socket[core];
-                    // NUMA: the page's home socket selects the controller
-                    // group; the raw mapping selects the controller within
-                    // it. Remote iff the home is not the issuer's socket.
-                    let (mc, remote) = if numa_on {
-                        let home = homes.home(addr, my_sock);
-                        (home as usize * mps + raw_mc % mps, home != my_sock)
-                    } else {
-                        (raw_mc, false)
-                    };
-                    if !cache.contains(addr) {
-                        prune(&mut mc_admitted[mc], now);
-                        prune(&mut bank_inflight[bank], now);
-                        let mc_full = mc_admitted[mc].len() >= queue_depth;
-                        let bank_full = bank_inflight[bank].len() >= mshr_per_bank;
-                        if mc_full || bank_full {
-                            stats.nacks += 1;
-                            let wake = if mc_full {
-                                mc_admitted[mc][mc_admitted[mc].len() - queue_depth]
-                            } else {
-                                bank_inflight[bank][bank_inflight[bank].len() - mshr_per_bank]
-                            };
-                            ts[tid as usize].pending = Some(op);
-                            pipes[core][pipe_idx] = now + 2;
-                            let retry_at = wake.max(now + 1);
-                            probe.nack(now, tid, mc, bank, mc_full);
-                            probe.stall(tid, StallKind::Nack, now, retry_at);
-                            push(&mut heap, &mut seq, retry_at, tid);
-                            continue;
-                        }
-                    }
-                    pipes[core][pipe_idx] = now + 1;
-                    // L2 bank access.
-                    let bank_start = (now + 1).max(bank_busy[bank]);
-                    bank_busy[bank] = bank_start + cfg.l2.bank_cycles;
-                    stats.bank_accesses[bank] += 1;
-                    stats.mem_ops += 1;
-                    probe.bank_access(bank, bank_start);
-                    // The op is committed: advance this thread's gang
-                    // progress.
-                    let old_count = gang_count[tid as usize];
-                    gang_count[tid as usize] += 1;
-                    if old_count == gang_min {
-                        gang_update!(now);
-                    }
-                    let bank_done = bank_start + cfg.l2.bank_cycles;
-                    match cache.access(addr, is_write) {
-                        Access::Hit => {
-                            stats.l2_hits += 1;
-                            // A store hit retires through the store buffer:
-                            // the thread moves on at once.
-                            let resume = if is_write {
-                                bank_done
-                            } else {
-                                bank_start + cfg.l2.hit_latency
-                            };
-                            push(&mut heap, &mut seq, resume, tid);
-                        }
-                        Access::Miss { writeback } => {
-                            stats.l2_misses += 1;
-                            if let Some(victim) = writeback {
-                                // Write-backs come from the L2's eviction
-                                // buffers: southbound transfer, no bank
-                                // MSHR, no thread wait. A remote victim's
-                                // line crosses the inter-socket link before
-                                // its home controller can serve it.
-                                let vraw = cfg.map.controller(victim) as usize;
-                                let (vmc, varrive) = if numa_on {
-                                    let vh = homes.home(victim, my_sock);
-                                    let arr = if vh != my_sock {
-                                        let ls = bank_done.max(link_busy);
-                                        link_busy = ls + numa_link_cycles;
-                                        link_busy + numa_write_extra
-                                    } else {
-                                        bank_done
-                                    };
-                                    (vh as usize * mps + vraw % mps, arr)
-                                } else {
-                                    (vraw, bank_done)
-                                };
-                                let out = mcs[vmc].service_write(varrive);
-                                stats.mc_write_bytes[vmc] += line_bytes;
-                                stats.mc_busy_cycles[vmc] += out.busy_added;
-                                stats.l2_writebacks += 1;
-                                mc_admitted[vmc].push_back(out.completion);
-                                probe.mc_service(
-                                    vmc,
-                                    bank_done,
-                                    out.busy_added,
-                                    mc_admitted[vmc].len(),
-                                    true,
-                                );
-                            }
-                            let out = mcs[mc].service_read(bank_done);
-                            // The controller's queue slot frees at its own
-                            // completion; a *remote* line additionally
-                            // crosses the shared link (occupancy) and pays
-                            // the remote latency adder before the issuing
-                            // socket sees it.
-                            let completion = if remote {
-                                let ls = out.completion.max(link_busy);
-                                link_busy = ls + numa_link_cycles;
-                                link_busy + numa_read_extra
-                            } else {
-                                out.completion
-                            };
-                            stats.mc_read_bytes[mc] += line_bytes;
-                            stats.mc_busy_cycles[mc] += out.busy_added;
-                            mc_admitted[mc].push_back(out.completion);
-                            bank_inflight[bank].push_back(completion);
-                            probe.mc_service(
-                                mc,
-                                bank_done,
-                                out.busy_added,
-                                mc_admitted[mc].len(),
-                                false,
-                            );
-                            let t = &mut ts[tid as usize];
-                            if is_write {
-                                // Store miss: the RFO drains from the store
-                                // buffer; the thread is not blocked.
-                                t.stores.push_back(completion);
-                                t.drain_until = t.drain_until.max(completion);
-                                push(&mut heap, &mut seq, bank_done, tid);
-                            } else {
-                                let data_ready = completion + cfg.mem.extra_latency;
-                                t.loads.push_back(data_ready);
-                                t.drain_until = t.drain_until.max(data_ready);
-                                if t.loads.len() >= outstanding_limit {
-                                    // Budget full (the T2 case): block until
-                                    // the data returns.
-                                    let wake = *t.loads.front().unwrap();
-                                    probe.stall(tid, StallKind::LoadMiss, bank_done, wake);
-                                    push(&mut heap, &mut seq, wake, tid);
-                                } else {
-                                    // Hit-under-miss headroom (ablations).
-                                    push(&mut heap, &mut seq, bank_done, tid);
-                                }
-                            }
-                        }
-                    }
-                }
+    fn run(mut self) -> SimStats {
+        while let Some(Event { at: now, ev, .. }) = self.events.heap.pop() {
+            match ev {
+                Ev::Thread(tid) => self.step(tid, now),
+                Ev::McArb(mci) => self.arbitrate(mci as usize, now),
             }
         }
-
+        let live = self.live;
         assert_eq!(
             live, 0,
             "deadlock: {live} thread(s) never finished (barrier mismatch?)"
         );
-        // Request conservation (arbitrated path; trivially empty on the
-        // FIFO fast path): every admitted request was serviced exactly
+        // Request conservation: every admitted request was serviced exactly
         // once, every MSHR released, every parked thread released.
-        for (i, st) in mc_st.iter().enumerate() {
-            assert!(
-                st.pending.is_empty(),
-                "conservation: controller {i} still holds {} unserviced request(s)",
-                st.pending.len()
-            );
-            assert!(
-                st.retry.is_empty(),
-                "conservation: controller {i} still parks {} NACKed thread(s)",
-                st.retry.len()
-            );
+        if let Backend::Arbitrated { mc_st, bank_st, .. } = &self.backend {
+            for (i, st) in mc_st.iter().enumerate() {
+                let (reqs, parked) = (st.pending.len(), st.retry.len());
+                assert!(
+                    reqs + parked == 0,
+                    "conservation: controller {i} still holds {reqs} request(s), parks {parked} thread(s)"
+                );
+            }
+            for (i, b) in bank_st.iter().enumerate() {
+                assert!(
+                    b.pending + b.retry.len() == 0,
+                    "conservation: bank {i} still tracks unserviced misses or parks threads"
+                );
+            }
         }
-        for (i, b) in bank_st.iter().enumerate() {
-            assert_eq!(
-                b.pending, 0,
-                "conservation: bank {i} MSHRs still track unserviced misses"
-            );
-            assert!(
-                b.retry.is_empty(),
-                "conservation: bank {i} still parks NACKed threads"
-            );
-        }
-        for (i, t) in ts.iter().enumerate() {
+        for (i, t) in self.ts.iter().enumerate() {
             assert_eq!(
                 t.loads_pending + t.stores_pending,
                 0,
                 "conservation: thread {i} ended with unresolved requests"
             );
         }
-        stats
+        self.stats
+    }
+
+    /// Recomputes the gang minimum and wakes drift-parked threads that are
+    /// back inside the window. Called whenever a count or a membership
+    /// changes at the current minimum.
+    fn gang_update(&mut self, now: u64) {
+        let new_min = self
+            .gang_count
+            .iter()
+            .zip(&self.in_gang)
+            .filter(|&(_, &g)| g)
+            .map(|(&c, _)| c)
+            .min()
+            .unwrap_or(u64::MAX);
+        if new_min == self.gang_min {
+            return;
+        }
+        self.gang_min = new_min;
+        if let Some(w) = self.gang_window {
+            self.drift_parked.retain(|&p| {
+                if self.gang_count[p as usize] >= new_min.saturating_add(w) {
+                    return true;
+                }
+                self.ts[p as usize].release(p, now, &mut *self.probe, &mut self.events);
+                false
+            });
+        }
+    }
+
+    /// Runs thread `tid`'s next op at `now`.
+    fn step(&mut self, tid: u32, now: u64) {
+        let ti = tid as usize;
+        let t = &mut self.ts[ti];
+        // (An explicit match, not `Option::or_else`: the combinator's
+        // round trip of the op through the stack stalls store forwarding
+        // on the hottest line of the loop.)
+        let op = match t.pending.take() {
+            Some(op) => op,
+            None => match t.program.next() {
+                Some(op) => op,
+                None => {
+                    t.finished = true;
+                    self.live -= 1;
+                    self.stats.end_cycle = self.stats.end_cycle.max(now).max(t.drain_until);
+                    self.in_gang[ti] = false;
+                    self.gang_update(now);
+                    return;
+                }
+            },
+        };
+        let core = t.core;
+        match op {
+            Op::Delay(c) => self.events.push(now + c as u64, Ev::Thread(tid)),
+            Op::Compute(flops) => {
+                let cycles = (flops as f64 / self.cfg.core.fpu_flops_per_cycle)
+                    .ceil()
+                    .max(1.0) as u64;
+                let start = now.max(self.fpu_busy[core]);
+                if start > now {
+                    self.probe.stall(tid, StallKind::Fpu, now, start);
+                }
+                self.fpu_busy[core] = start + cycles;
+                self.stats.flops += flops as u64;
+                self.events.push(start + cycles, Ev::Thread(tid));
+            }
+            Op::Barrier(id) => self.barrier(tid, id, now),
+            Op::Read(addr) | Op::Write(addr) => {
+                self.mem_op(tid, core, op, addr, matches!(op, Op::Write(_)), now)
+            }
+        }
+    }
+
+    fn barrier(&mut self, tid: u32, id: u32, now: u64) {
+        let b = self.barriers.entry(id).or_default();
+        b.arrivals += 1;
+        b.release = b.release.max(now);
+        if b.arrivals < self.ts.len() {
+            self.ts[tid as usize].parked = Some((StallKind::Barrier, now));
+            b.waiters.push(tid);
+            // Leave the gang while parked, else a straggler on the way to
+            // the barrier could deadlock the window.
+            self.in_gang[tid as usize] = false;
+            self.gang_update(now);
+            return;
+        }
+        let release_at = b.release;
+        for w in std::mem::take(&mut b.waiters) {
+            self.ts[w as usize].release(w, release_at, &mut *self.probe, &mut self.events);
+            self.in_gang[w as usize] = true;
+        }
+        self.events.push(release_at, Ev::Thread(tid));
+        self.probe.barrier_release(id, release_at);
+        if self.measure_after_barrier == Some(id) {
+            self.stats.reset_window(release_at);
+            self.probe.window_reset(release_at);
+        }
+        self.gang_update(release_at);
+    }
+
+    /// Whether thread `tid`'s load (`is_write == false`) or store budget is
+    /// full at `now`. If so the thread is scheduled to retry when an entry
+    /// frees, or parked until a service resolves one; its stall is
+    /// recorded from `from`.
+    #[inline]
+    fn budget_blocks(&mut self, tid: u32, is_write: bool, now: u64, from: u64) -> bool {
+        let (t, core) = (&mut self.ts[tid as usize], &self.cfg.core);
+        let (q, unresolved, limit, kind) = if is_write {
+            let (buffer, kind) = (core.store_buffer.max(1), StallKind::StoreBuffer);
+            (&mut t.stores, t.stores_pending, buffer, kind)
+        } else {
+            let kind = StallKind::LoadMiss;
+            (&mut t.loads, t.loads_pending, core.outstanding_misses, kind)
+        };
+        match self.backend.budget(q, unresolved, limit, now) {
+            None => return false,
+            Some(Retry::At(wake)) => {
+                self.probe.stall(tid, kind, from, wake);
+                self.events.push(wake, Ev::Thread(tid));
+            }
+            Some(Retry::OnService) => t.parked = Some((kind, from)),
+        }
+        true
+    }
+
+    /// The memory-op sequence, shared by both back ends.
+    fn mem_op(&mut self, tid: u32, core: usize, op: Op, addr: u64, is_write: bool, now: u64) {
+        let ti = tid as usize;
+        // Gang drift window: a thread too far ahead of the slowest gang
+        // member parks until the gang catches up.
+        if let Some(w) = self.gang_window {
+            if self.in_gang[ti] && self.gang_count[ti] >= self.gang_min.saturating_add(w) {
+                let t = &mut self.ts[ti];
+                t.pending = Some(op);
+                t.parked = Some((StallKind::Drift, now));
+                self.drift_parked.push(tid);
+                return;
+            }
+        }
+        // Loads: outstanding-miss budget. Stores: TSO store buffer.
+        if self.budget_blocks(tid, is_write, now, now) {
+            self.ts[ti].pending = Some(op);
+            return;
+        }
+        // Memory-pipe issue slot.
+        let (pipe_idx, &pipe_free) = self.pipes[core]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &b)| b)
+            .expect("mem_pipes > 0");
+        if pipe_free > now {
+            self.ts[ti].pending = Some(op);
+            self.probe.stall(tid, StallKind::Pipe, now, pipe_free);
+            self.events.push(pipe_free, Ev::Thread(tid));
+            return;
+        }
+        let cfg = self.cfg;
+        let bank = cfg.map.bank(addr) as usize;
+        let my_sock = self.numa.core_socket[core];
+        let (mc, remote) = self
+            .numa
+            .route(cfg.map.controller(addr) as usize, addr, my_sock);
+        // NACK checks: a miss needs a controller-queue slot and a bank miss
+        // buffer; if either is full the request is rejected and retried
+        // when a slot frees. The probe occupies the pipe like any other
+        // access.
+        if !self.cache.contains(addr) {
+            let mshr_per_bank = cfg.l2.mshr_per_bank.max(1);
+            let full = self
+                .backend
+                .nack(mc, bank, tid, now, cfg.mem.queue_depth, mshr_per_bank);
+            if let Some((mc_full, retry)) = full {
+                self.stats.nacks += 1;
+                self.ts[ti].pending = Some(op);
+                self.pipes[core][pipe_idx] = now + 2;
+                self.probe.nack(now, tid, mc, bank, mc_full);
+                match retry {
+                    Retry::At(wake) => {
+                        let retry_at = wake.max(now + 1);
+                        self.probe.stall(tid, StallKind::Nack, now, retry_at);
+                        self.events.push(retry_at, Ev::Thread(tid));
+                    }
+                    Retry::OnService => self.ts[ti].parked = Some((StallKind::Nack, now)),
+                }
+                return;
+            }
+        }
+        self.pipes[core][pipe_idx] = now + 1;
+        // L2 bank access.
+        let bank_start = (now + 1).max(self.bank_busy[bank]);
+        let bank_done = bank_start + cfg.l2.bank_cycles;
+        self.bank_busy[bank] = bank_done;
+        self.stats.bank_accesses[bank] += 1;
+        self.stats.mem_ops += 1;
+        self.probe.bank_access(bank, bank_start);
+        // The op is committed: advance this thread's gang progress.
+        let count = &mut self.gang_count[ti];
+        *count += 1;
+        if *count - 1 == self.gang_min {
+            self.gang_update(now);
+        }
+        let writeback = match self.cache.access(addr, is_write) {
+            Access::Hit => {
+                self.stats.l2_hits += 1;
+                // A store hit retires through the store buffer: the thread
+                // moves on at once.
+                let resume = if is_write {
+                    bank_done
+                } else {
+                    bank_start + cfg.l2.hit_latency
+                };
+                self.events.push(resume, Ev::Thread(tid));
+                return;
+            }
+            Access::Miss { writeback } => writeback,
+        };
+        self.stats.l2_misses += 1;
+        let line_bytes = cfg.l2.line as u64;
+        if let Some(victim) = writeback {
+            // Write-backs come from the L2's eviction buffers: southbound
+            // transfer, no bank MSHR, no thread wait. A remote victim's line
+            // crosses the inter-socket link before its home controller can
+            // serve it.
+            let (vmc, vremote) =
+                self.numa
+                    .route(cfg.map.controller(victim) as usize, victim, my_sock);
+            let arrival = if vremote {
+                self.numa.cross(bank_done) + cfg.numa.remote_write_extra
+            } else {
+                bank_done
+            };
+            self.stats.mc_write_bytes[vmc] += line_bytes;
+            self.stats.l2_writebacks += 1;
+            let req = MemRequest {
+                id: 0,
+                arrival,
+                addr: victim,
+                class: ReqClass::Writeback,
+                tid: None,
+                bank: None,
+                bypassed: 0,
+            };
+            self.submit(vmc, req, false, bank_done);
+        }
+        self.stats.mc_read_bytes[mc] += line_bytes;
+        let req = MemRequest {
+            id: 0,
+            arrival: bank_done,
+            addr,
+            class: if is_write {
+                ReqClass::StoreRfo
+            } else {
+                ReqClass::DemandRead
+            },
+            tid: Some(tid),
+            bank: Some(bank),
+            bypassed: 0,
+        };
+        let resolved = self.submit(mc, req, remote, bank_done);
+        let t = &mut self.ts[ti];
+        match resolved {
+            Some(completion) => {
+                t.resolve(is_write, completion, cfg.mem.extra_latency);
+            }
+            None if is_write => t.stores_pending += 1,
+            None => t.loads_pending += 1,
+        }
+        // A store miss drains from the store buffer and the thread moves
+        // on; a load miss blocks once the budget is full (the T2 case),
+        // else continues under hit-under-miss headroom (ablations).
+        if is_write || !self.budget_blocks(tid, false, now, bank_done) {
+            self.events.push(bank_done, Ev::Thread(tid));
+        }
+    }
+
+    /// Hands `req` to controller `mc`; `at` is when it left the L2 bank.
+    /// A `remote` read's data crosses the inter-socket link after service.
+    /// Returns the completion time if the back end resolves it now.
+    fn submit(&mut self, mc: usize, mut req: MemRequest, remote: bool, at: u64) -> Option<u64> {
+        match &mut self.backend {
+            Backend::Inline {
+                mc_admitted,
+                bank_inflight,
+            } => {
+                let out = if req.is_read() {
+                    self.mcs[mc].service_read(req.arrival)
+                } else {
+                    self.mcs[mc].service_write(req.arrival)
+                };
+                // The controller's queue slot frees at its own completion;
+                // a *remote* line additionally crosses the shared link
+                // (occupancy) and pays the remote latency adder before the
+                // issuing socket sees it.
+                let completion = if remote {
+                    self.numa.cross(out.completion) + self.cfg.numa.remote_read_extra
+                } else {
+                    out.completion
+                };
+                self.stats.mc_busy_cycles[mc] += out.busy_added;
+                mc_admitted[mc].push_back(out.completion);
+                if let Some(b) = req.bank {
+                    bank_inflight[b].push_back(completion);
+                }
+                let queue_len = mc_admitted[mc].len();
+                self.probe
+                    .mc_service(mc, at, out.busy_added, queue_len, !req.is_read());
+                Some(completion)
+            }
+            // Park the request and arbitrate once both it and the southbound
+            // channel can be ready. A remote read's link charge happens at
+            // service, where its completion is resolved.
+            Backend::Arbitrated {
+                mc_st,
+                bank_st,
+                next_req,
+                ..
+            } => {
+                *next_req += 1;
+                req.id = *next_req;
+                if let Some(b) = req.bank {
+                    bank_st[b].pending += 1;
+                }
+                let at = req.arrival.max(self.mcs[mc].south_busy);
+                mc_st[mc].pending.push(req);
+                mc_st[mc].schedule(&mut self.events, mc, at);
+                None
+            }
+        }
+    }
+
+    /// Controller `mci`'s arbitration step (arbitrated back end only).
+    fn arbitrate(&mut self, mci: usize, now: u64) {
+        let Backend::Arbitrated {
+            policies,
+            mc_st,
+            bank_st,
+            elig_idx,
+            elig_req,
+            ..
+        } = &mut self.backend
+        else {
+            unreachable!("the inline back end schedules no arbitration");
+        };
+        let st = &mut mc_st[mci];
+        if st.arb_at == Some(now) {
+            st.arb_at = None;
+        }
+        if st.pending.is_empty() {
+            return;
+        }
+        // Don't reserve a busy southbound channel: selecting now would
+        // commit an order before later arrivals are seen — the exact FIFO
+        // behavior the policies exist to avoid. Re-arbitrate when the
+        // channel frees.
+        let south = self.mcs[mci].south_busy;
+        if south > now {
+            st.schedule(&mut self.events, mci, south);
+            return;
+        }
+        // Requests that have actually arrived are eligible.
+        elig_idx.clear();
+        elig_req.clear();
+        for (i, r) in st.pending.iter().enumerate() {
+            if r.arrival <= now {
+                elig_idx.push(i);
+                elig_req.push(r.clone());
+            }
+        }
+        if elig_idx.is_empty() {
+            let at = st.pending.iter().map(|r| r.arrival).min();
+            st.schedule(&mut self.events, mci, at.expect("pending is non-empty"));
+            return;
+        }
+        // One service slot: the policy picks, the channel model resolves
+        // the completion time.
+        let sel = policies[mci].select(elig_req, now);
+        assert!(
+            sel < elig_req.len(),
+            "policy {} returned out-of-range index {sel} ({} eligible)",
+            policies[mci].name(),
+            elig_req.len()
+        );
+        let req = st.pending.swap_remove(elig_idx[sel]);
+        let out = if req.is_read() {
+            self.mcs[mci].service_read(now)
+        } else {
+            self.mcs[mci].service_write(now)
+        };
+        self.stats.mc_busy_cycles[mci] += out.busy_added;
+        st.inflight.push_back(out.completion);
+        // Every older request that was ready and passed over counts one
+        // step toward its starvation cap.
+        for p in st.pending.iter_mut() {
+            if p.arrival <= now && p.id < req.id {
+                p.bypassed = p.bypassed.saturating_add(1);
+            }
+        }
+        policies[mci].on_service(&req);
+        let queue_len = st.pending.len() + st.inflight.len();
+        self.probe
+            .mc_service(mci, now, out.busy_added, queue_len, !req.is_read());
+        // A queue slot frees when this transfer completes: that resolves
+        // the retry time for threads NACKed while all occupants were
+        // unresolved.
+        let slot_free = out.completion.max(now + 1);
+        for w in st.retry.drain(..) {
+            self.ts[w as usize].release(w, slot_free, &mut *self.probe, &mut self.events);
+        }
+        if let (Some(b), Some(owner)) = (req.bank, req.tid) {
+            // A demand read or RFO: the MSHR it holds resolves, and so does
+            // the owner thread's wait time. A remote line still has to
+            // cross the shared inter-socket link (occupancy + remote
+            // latency adder) before the owner's socket sees it.
+            let oi = owner as usize;
+            let completion = if self.numa.on && st.socket != self.numa.core_socket[self.ts[oi].core]
+            {
+                self.numa.cross(out.completion) + self.cfg.numa.remote_read_extra
+            } else {
+                out.completion
+            };
+            let bs = &mut bank_st[b];
+            bs.pending -= 1;
+            bs.inflight.push_back(completion);
+            for w in bs.retry.drain(..) {
+                self.ts[w as usize].release(w, slot_free, &mut *self.probe, &mut self.events);
+            }
+            let t = &mut self.ts[oi];
+            let store = req.class == ReqClass::StoreRfo;
+            if store {
+                t.stores_pending -= 1;
+            } else {
+                t.loads_pending -= 1;
+            }
+            let ready = t.resolve(store, completion, self.cfg.mem.extra_latency);
+            if t.finished {
+                // The owner ran off the end of its program with this
+                // request still in flight: extend the drain.
+                self.stats.end_cycle = self.stats.end_cycle.max(t.drain_until);
+            } else if matches!(
+                t.parked,
+                Some((StallKind::LoadMiss | StallKind::StoreBuffer, _))
+            ) {
+                t.release(owner, ready, &mut *self.probe, &mut self.events);
+            }
+        }
+        if let Some(min_arr) = st.pending.iter().map(|r| r.arrival).min() {
+            let at = self.mcs[mci].south_busy.max(min_arr).max(now);
+            st.schedule(&mut self.events, mci, at);
+        }
     }
 }
 
@@ -1655,23 +1634,26 @@ mod tests {
 
     #[test]
     fn arbitrated_fifo_semantics_stay_close_to_the_inline_path() {
-        // The inline FIFO path and the event-driven arbitration machinery
-        // are different implementations of *nearly* the same discipline
-        // (arbitration re-decides at service time, FIFO commits at
-        // admission, and jitter draws land in a different order), so exact
-        // equality is not expected — but a FIFO-like arbitrated policy with
-        // an immediate starvation cap must land within a few percent on the
-        // macroscopic observables. A large gap would mean the deferred
-        // machinery models a different machine, not a different policy.
-        let fifo = triad_run([0, 128, 256]);
-        let arb = triad_run_with(
-            [0, 128, 256],
-            crate::policy::PolicyKind::ReadFirst { starvation_cap: 0 },
-        );
-        let ratio = arb.cycles() as f64 / fifo.cycles() as f64;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "cap-0 read-first should approximate FIFO on a spread triad: {ratio:.3}"
-        );
+        // The inline and the arbitrated back end share the memory-op front
+        // end but are different service disciplines: arbitration serves
+        // only arrived requests once the southbound channel is free, and
+        // draws jitter in service order. So a FIFO-like arbitrated policy
+        // (read-first with an immediate starvation cap is oldest-first) is
+        // close to, not equal to, the inline path: measured 1.0000×,
+        // 1.0015× and 0.9945× on the spread, aliased and half-period
+        // triads. A front-end slip that only one back end absorbs would
+        // show up here as a larger gap.
+        for offs in [[0, 128, 256], [0, 0, 0], [0, 256, 512]] {
+            let fifo = triad_run(offs);
+            let arb = triad_run_with(
+                offs,
+                crate::policy::PolicyKind::ReadFirst { starvation_cap: 0 },
+            );
+            let ratio = arb.cycles() as f64 / fifo.cycles() as f64;
+            assert!(
+                (0.98..1.02).contains(&ratio),
+                "cap-0 read-first should track FIFO on the {offs:?} triad: {ratio:.4}"
+            );
+        }
     }
 }

@@ -11,10 +11,14 @@
 //! read-heavy ones (triad, 1 write per 2–3 reads) — the paper's "overhead
 //! for bidirectional transfers" (§2.1).
 //!
-//! Service is FIFO per channel, so a request's completion time is known at
-//! admission — the engine schedules thread wake-ups directly instead of
-//! simulating server events. Per-transfer times carry a deterministic
-//! jitter (DRAM row hits/misses, refresh).
+//! Each channel serves transfers in the order they are handed to it and
+//! returns the completion time at once. *When* a transfer is handed over
+//! is the engine's choice: its inline (FIFO) back end does so at
+//! admission, so completions and jitter draws follow admission order and
+//! no controller events exist; its arbitrated back end does so from a
+//! controller arbitration event, in the order the queue policy picks (see
+//! `engine.rs`). Per-transfer times carry a deterministic jitter (DRAM row
+//! hits/misses, refresh), drawn once per transfer in service order.
 
 use crate::config::MemConfig;
 

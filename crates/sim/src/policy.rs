@@ -10,16 +10,20 @@
 //!
 //! This module is the seam that removes the wall. A [`QueuePolicy`]
 //! inspects the controller's pending requests at an arbitration instant
-//! and picks the next one to service; the engine gives every controller
-//! its own `(next_tick, mc_id)` wake-ups in the event heap and calls the
-//! policy each time a service slot opens (see `engine.rs` and DESIGN.md
-//! §13).
+//! and picks the next one to service; the engine's arbitrated back end
+//! gives every controller its own `(next_tick, mc_id)` wake-ups in the
+//! event heap and calls the policy each time a service slot opens (see
+//! `engine.rs` and DESIGN.md §13).
 //!
 //! FIFO remains the pinned default, and it is special: because its
-//! decision can never depend on later arrivals, the arbitration step
-//! collapses into the admission path and the engine keeps the historical
-//! inline fast path — bitwise-identical `SimStats`, enforced by
-//! `tests/policy_differential.rs` against a pre-refactor capture.
+//! decision can never depend on later arrivals, the engine resolves it in
+//! its inline back end, at admission, and builds no policy objects at all.
+//! [`PolicyKind::is_fifo`] is the one place that choice is made. The
+//! inline back end is not the arbitrated one running [`FifoPolicy`]
+//! (arbitration serves only arrived requests, once the southbound channel
+//! is free), so [`FifoPolicy`] is what a FIFO-ordered policy looks like
+//! *through* arbitration, not what `PolicyKind::Fifo` runs. Both back ends
+//! are pinned bitwise by `tests/policy_differential.rs`.
 //!
 //! # Determinism contract
 //!
@@ -29,7 +33,7 @@
 //! be rebuilt identically by an identical run — simulations stay
 //! bit-reproducible under every policy.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// DRAM row size assumed by row-aware policies (FR-FCFS): requests within
 /// the same aligned 4 KiB block of one controller's address space count as
@@ -94,13 +98,13 @@ impl MemRequest {
 
 /// A memory-controller arbitration discipline.
 ///
-/// The engine instantiates one policy object **per controller** (policies
-/// may keep per-controller state such as the open row) and calls
-/// [`QueuePolicy::select`] whenever the controller's southbound channel is
-/// free and at least one admitted request has arrived. The selected
-/// request is then serviced, [`QueuePolicy::on_service`] is invoked, and
-/// the engine increments [`MemRequest::bypassed`] on every older request
-/// that was passed over.
+/// The engine's arbitrated back end instantiates one policy object **per
+/// controller** (policies may keep per-controller state such as the open
+/// row) and calls [`QueuePolicy::select`] whenever the controller's
+/// southbound channel is free and at least one admitted request has
+/// arrived. The selected request is then serviced,
+/// [`QueuePolicy::on_service`] is invoked, and the engine increments
+/// [`MemRequest::bypassed`] on every older request that was passed over.
 ///
 /// ## What a policy may observe and mutate
 ///
@@ -114,14 +118,6 @@ impl MemRequest {
 pub trait QueuePolicy {
     /// Human-readable policy name (CLI/JSON label).
     fn name(&self) -> &'static str;
-
-    /// FIFO's defining property: the service decision for a request can
-    /// never depend on requests that arrive after it. When `true`, the
-    /// engine resolves completion times at admission (the historical
-    /// inline path) and never schedules controller arbitration events.
-    fn commits_at_admission(&self) -> bool {
-        false
-    }
 
     /// Picks the index (into `pending`) of the next request to service.
     /// `pending` is non-empty and every element has `arrival <= now`.
@@ -144,17 +140,16 @@ fn oldest(pending: &[MemRequest]) -> usize {
         .expect("select called with a non-empty pending slice")
 }
 
-/// First-in first-out: the pinned default, service order = arrival order.
+/// First-in first-out through arbitration: the oldest arrived request is
+/// served first. [`PolicyKind::Fifo`] runs the engine's inline back end
+/// instead (see the module docs); this object is what
+/// [`PolicyKind::build`] returns for it.
 #[derive(Debug, Default, Clone)]
 pub struct FifoPolicy;
 
 impl QueuePolicy for FifoPolicy {
     fn name(&self) -> &'static str {
         "fifo"
-    }
-
-    fn commits_at_admission(&self) -> bool {
-        true
     }
 
     fn select(&mut self, pending: &[MemRequest], _now: u64) -> usize {
@@ -250,7 +245,7 @@ impl QueuePolicy for FrFcfsPolicy {
 /// Configuration-level policy selector: which [`QueuePolicy`] each memory
 /// controller runs. Part of [`crate::config::ChipConfig`]; the default is
 /// [`PolicyKind::Fifo`], which preserves the pre-policy engine bitwise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum PolicyKind {
     /// Strict arrival order (the calibrated default).
     #[default]
@@ -272,7 +267,9 @@ pub enum PolicyKind {
 pub const POLICY_NAMES: &[&str] = &["fifo", "read-first", "fr-fcfs"];
 
 impl PolicyKind {
-    /// Whether this is the FIFO discipline (inline admission-time service).
+    /// Whether this is the FIFO discipline: the engine then serves every
+    /// controller with its inline back end, resolving each request's
+    /// completion at admission, instead of arbitrating.
     pub fn is_fifo(&self) -> bool {
         matches!(self, PolicyKind::Fifo)
     }
@@ -361,7 +358,6 @@ mod tests {
             req(9, ReqClass::StoreRfo, 128),
         ];
         assert_eq!(p.select(&pending, 100), 1);
-        assert!(p.commits_at_admission());
     }
 
     #[test]
@@ -416,7 +412,6 @@ mod tests {
             let kind = PolicyKind::parse(name).expect("registry name parses");
             assert_eq!(kind.name(), *name);
             assert_eq!(kind.build().name(), *name);
-            assert_eq!(kind.is_fifo(), kind.build().commits_at_admission());
         }
         assert!(PolicyKind::default().is_fifo());
     }

@@ -132,9 +132,6 @@ pub fn run_matrix() -> Vec<(String, SimStats)> {
     out
 }
 
-/// Elements per array of the triads in [`run_policy_matrix`].
-const POLICY_TRIAD_N: usize = 1 << 14;
-
 /// Runs the arbitrated + NUMA matrix and returns `(name, stats)` per case.
 /// Its triads run half the FIFO matrix's size (3 × 128 KiB, still 1.5×
 /// the shrunk L2); its copies keep the full size, because 2 × 128 KiB
@@ -158,7 +155,7 @@ pub fn run_policy_matrix() -> Vec<(String, SimStats)> {
             chip.policy = PolicyKind::parse(policy).expect("registry policy parses");
             out.push((
                 format!("{preset}/{policy}/triad-aliased"),
-                stream_stats(&chip, POLICY_TRIAD_N, StreamKernel::Triad, 0),
+                stream_stats(&chip, 1 << 14, StreamKernel::Triad, 0),
             ));
             out.push((
                 format!("{preset}/{policy}/copy-8"),
@@ -174,7 +171,7 @@ pub fn run_policy_matrix() -> Vec<(String, SimStats)> {
         chip.policy = PolicyKind::parse(policy).expect("registry policy parses");
         out.push((
             format!("ultrasparc-t2/{policy}/outstanding-4/triad-spread"),
-            stream_stats(&chip, POLICY_TRIAD_N, StreamKernel::Triad, 16),
+            stream_stats(&chip, 1 << 14, StreamKernel::Triad, 16),
         ));
     }
     for preset in PRESET_NAMES.into_iter().filter(|p| numa(p)) {
@@ -185,7 +182,7 @@ pub fn run_policy_matrix() -> Vec<(String, SimStats)> {
                 chip.policy = PolicyKind::parse(policy).expect("registry policy parses");
                 out.push((
                     format!("{preset}/{}/{policy}/triad-aliased", placement.label()),
-                    stream_stats(&chip, POLICY_TRIAD_N, StreamKernel::Triad, 0),
+                    stream_stats(&chip, 1 << 14, StreamKernel::Triad, 0),
                 ));
             }
         }
