@@ -218,6 +218,20 @@ mod tests {
     }
 
     #[test]
+    fn content_addresses_are_pinned() {
+        // Keys and fingerprints are persisted (cache files, the store), so
+        // the canonical JSON they hash must never change by a single byte:
+        // a changed byte silently orphans every stored trial.
+        let chip = ChipConfig::ultrasparc_t2();
+        assert_eq!(ResultCache::chip_fingerprint(&chip), "4a43f835f548a684");
+        let spec = LayoutSpec::new().base_align(8192).block_offset(128);
+        assert_eq!(
+            ResultCache::key(&Workload::triad_smoke(1 << 12, 16), &chip, &spec),
+            "30c9b73ad3cad44c"
+        );
+    }
+
+    #[test]
     fn canonical_specs_share_a_key() {
         // seg_align 0 and 1 normalize to the same spec, so they must hit
         // the same cache line.

@@ -700,6 +700,84 @@ mod tests {
     }
 
     #[test]
+    fn json_bytes_of_every_shape() {
+        use std::collections::BTreeMap;
+        #[derive(Serialize)]
+        struct Newtype(u32);
+        #[derive(Serialize)]
+        struct Pair(i8, String);
+        #[derive(Serialize)]
+        struct Unit;
+        #[derive(Serialize)]
+        enum V {
+            Unit,
+            One(f64),
+            Two(u8, bool),
+            Named { x: Option<Option<u32>>, y: () },
+        }
+        #[derive(Serialize)]
+        struct All {
+            newtype: Newtype,
+            pair: Pair,
+            unit: Unit,
+            variants: Vec<V>,
+            floats: [f64; 7],
+            single: f32,
+            ints: (i64, u64, isize, usize),
+            text: String,
+            ch: char,
+            by_int: BTreeMap<i32, &'static str>,
+            by_str: BTreeMap<String, u8>,
+            nested: Vec<Option<Option<u32>>>,
+            tuple: (u8, String, ()),
+            boxed: Box<[u16]>,
+        }
+        let all = All {
+            newtype: Newtype(7),
+            pair: Pair(-3, "p".into()),
+            unit: Unit,
+            variants: vec![
+                V::Unit,
+                V::One(0.5),
+                V::Two(1, false),
+                V::Named {
+                    x: Some(None),
+                    y: (),
+                },
+            ],
+            floats: [
+                1.5,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                1e21,
+                0.1 + 0.2,
+            ],
+            single: 0.1,
+            ints: (i64::MIN, u64::MAX, -1, 0),
+            text: "a\u{1}\"\\\n\t\r\u{1f}é/".into(),
+            ch: '\n',
+            by_int: BTreeMap::from([(-2, "neg"), (10, "ten")]),
+            by_str: BTreeMap::from([("k\"q".to_string(), 1)]),
+            nested: vec![None, Some(None), Some(Some(4))],
+            tuple: (9, "t".into(), ()),
+            boxed: vec![1, 2].into_boxed_slice(),
+        };
+        let expected = concat!(
+            r#"{"newtype":7,"pair":[-3,"p"],"unit":null,"#,
+            r#""variants":["Unit",{"One":0.5},{"Two":[1,false]},{"Named":{"x":null,"y":null}}],"#,
+            r#""floats":[1.5,null,null,null,-0,1000000000000000000000,0.30000000000000004],"#,
+            r#""single":0.10000000149011612,"#,
+            r#""ints":[-9223372036854775808,18446744073709551615,-1,0],"#,
+            r#""text":"a\u0001\"\\\n\t\r\u001fé/","ch":"\n","#,
+            r#""by_int":{"-2":"neg","10":"ten"},"by_str":{"k\"q":1},"#,
+            r#""nested":[null,null,4],"tuple":[9,"t",null],"boxed":[1,2]}"#,
+        );
+        assert_eq!(to_json_string(&all), expected);
+    }
+
+    #[test]
     fn parse_scalars() {
         assert_eq!(parse_json("null").unwrap(), JsonValue::Null);
         assert_eq!(parse_json(" true ").unwrap(), JsonValue::Bool(true));
