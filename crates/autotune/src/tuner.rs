@@ -12,17 +12,17 @@
 use crate::cache::{ResultCache, TrialMeta};
 use crate::space::{ParamSpace, N_DIMS};
 use crate::workload::Workload;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use t2opt_core::advisor::LayoutAdvisor;
+use t2opt_core::json::ToJson;
 use t2opt_core::layout::LayoutSpec;
 use t2opt_parallel::{Schedule, ThreadPool};
 use t2opt_sim::{ChipConfig, Simulation};
 use t2opt_telemetry::metrics::Sink;
 
 /// How the tuner walks the parameter space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson)]
 pub enum SearchStrategy {
     /// Measure every candidate of the space. Exact; cost is the product of
     /// the dimension sizes.
@@ -140,7 +140,7 @@ impl SearchStrategy {
 }
 
 /// One measured candidate.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Trial {
     /// The layout that was measured.
     pub spec: LayoutSpec,
@@ -156,7 +156,7 @@ pub struct Trial {
 /// A trial whose measured and predicted *relative* quality disagree: the
 /// analytic model mis-ranks this layout — evidence that the real mapping
 /// policy differs from the modelled one.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Divergence {
     /// The layout in question.
     pub spec: LayoutSpec,
@@ -167,7 +167,7 @@ pub struct Divergence {
 }
 
 /// Cross-validation of the analytic model against the measurements.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Agreement {
     /// Spearman rank correlation between predicted efficiency and measured
     /// bandwidth over all trials; `None` when undefined (fewer than two
@@ -181,7 +181,7 @@ pub struct Agreement {
 }
 
 /// The outcome of one [`Tuner::run`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct TuneReport {
     /// The tuned workload.
     pub workload: Workload,

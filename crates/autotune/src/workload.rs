@@ -9,8 +9,8 @@
 //! setup — and, for the advisor cross-check, the equivalent analytic
 //! [`StreamDesc`] sets.
 
-use serde::Serialize;
 use t2opt_core::advisor::{LayoutAdvisor, StreamDesc, StreamKind};
+use t2opt_core::json::ToJson;
 use t2opt_core::layout::{LayoutSpec, SegLayout, SegmentPlan};
 use t2opt_kernels::common::VirtualAlloc;
 use t2opt_kernels::lbm::{LbmLayout, C, FLOPS_PER_SITE, Q};
@@ -20,7 +20,7 @@ use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::ChipConfig;
 
 /// A tunable workload: a stream mix or a named kernel loop.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, ToJson)]
 pub enum Workload {
     /// A generic lockstep loop touching `reads` load streams and `writes`
     /// store streams (loads first), `n` total elements split over

@@ -13,6 +13,7 @@
 //! ```
 
 use t2opt_bench::{write_json, Args, Table};
+use t2opt_core::json::ToJson;
 use t2opt_core::mapping::{AddressMap, MapPolicy};
 use t2opt_kernels::stream::{run_sim, StreamConfig, StreamKernel};
 use t2opt_parallel::Placement;
@@ -47,7 +48,7 @@ fn main() {
         "offset 16 GB/s",
         "sensitivity",
     ]);
-    #[derive(serde::Serialize)]
+    #[derive(ToJson)]
     struct Row {
         mapping: String,
         worst_gbs: f64,

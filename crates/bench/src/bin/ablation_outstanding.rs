@@ -12,6 +12,7 @@
 //! ```
 
 use t2opt_bench::{write_json, Args, Table};
+use t2opt_core::json::ToJson;
 use t2opt_kernels::stream::{run_sim, StreamConfig, StreamKernel};
 use t2opt_parallel::Placement;
 use t2opt_sim::ChipConfig;
@@ -20,7 +21,7 @@ fn main() {
     let args = Args::from_env();
     let n: usize = args.get("n", 1 << 21);
 
-    #[derive(serde::Serialize)]
+    #[derive(ToJson)]
     struct Row {
         outstanding: usize,
         threads: usize,

@@ -13,6 +13,7 @@
 //! ```
 
 use t2opt_bench::{write_json, Args, Table};
+use t2opt_core::json::ToJson;
 use t2opt_kernels::jacobi::{run_sim, JacobiConfig, JacobiLayout};
 use t2opt_parallel::{Placement, Schedule};
 use t2opt_sim::ChipConfig;
@@ -23,7 +24,7 @@ fn main() {
     let ns = args.get_list::<usize>("n", &[512, 1024, 1536, 2000]);
     let chip = ChipConfig::ultrasparc_t2();
 
-    #[derive(serde::Serialize)]
+    #[derive(ToJson)]
     struct Row {
         n: usize,
         schedule: String,

@@ -40,10 +40,10 @@
 //! queue-arbitration discipline (default `fifo`). The chip fingerprint
 //! covers it, so cached results for different policies never mix.
 
-use serde::Serialize;
 use std::sync::Arc;
 use t2opt_autotune::{ParamSpace, ResultCache, SearchStrategy, TuneReport, Tuner, Workload};
 use t2opt_bench::{chip_from_args, write_json, Args, Table};
+use t2opt_core::json::ToJson;
 use t2opt_kernels::lbm::LbmLayout;
 use t2opt_telemetry::metrics::Sink;
 use t2opt_telemetry::prelude::spans_chrome_trace;
@@ -51,7 +51,7 @@ use t2opt_telemetry::prelude::spans_chrome_trace;
 /// Result-cache effectiveness for this run: how many trials were served
 /// from the store vs freshly simulated, and how many entries the cache
 /// holds afterwards (what a `--cache` file would persist).
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct CacheStats {
     hits: u64,
     misses: u64,
@@ -60,7 +60,7 @@ struct CacheStats {
 
 /// JSON envelope recording which chip preset and queue policy the tuning
 /// ran on.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct AutotuneOutput {
     chip: String,
     policy: String,

@@ -36,15 +36,15 @@
 //! recovery at odd multiples of 32; period 64; 16 threads suffering less
 //! at the minima than 32/64; copy below triad.
 
-use serde::Serialize;
 use t2opt_bench::experiments::{chip_scatter, fig2_series, offset_range, Fig2Row};
 use t2opt_bench::{chip_from_args, write_json, Args, Table};
+use t2opt_core::json::ToJson;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_telemetry::prelude::{ascii_heatmap, chrome_trace, AliasConfig, AliasReport};
 
 /// JSON envelope recording which chip preset and queue policy produced
 /// the sweep.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct Fig2Output {
     chip: String,
     policy: String,

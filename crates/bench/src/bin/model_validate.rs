@@ -17,19 +17,19 @@
 //! single `--chip`; `--threads` / `--n` override the aliasing-sized
 //! defaults derived from each chip's interleave period.
 
-use serde::Serialize;
 use t2opt_autotune::surrogate::{model_for_chip, surrogate_score};
 use t2opt_autotune::{ParamSpace, SearchStrategy, Tuner, Workload};
 use t2opt_bench::{write_json, Args, Table};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_core::corr::spearman;
+use t2opt_core::json::ToJson;
 use t2opt_core::layout::LayoutSpec;
 use t2opt_core::mapping::PagePlacement;
 use t2opt_sim::ChipConfig;
 
 /// One candidate of the sweep: the layout, what the simulator measured,
 /// and what the model predicted.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct Candidate {
     spec: LayoutSpec,
     measured_gbs: f64,
@@ -38,7 +38,7 @@ struct Candidate {
 }
 
 /// Validation result for one chip preset.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct ChipValidation {
     chip: String,
     threads: usize,
@@ -48,7 +48,7 @@ struct ChipValidation {
 }
 
 /// JSON envelope for the whole run.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct ModelValidateOutput {
     threshold: Option<f64>,
     chips: Vec<ChipValidation>,

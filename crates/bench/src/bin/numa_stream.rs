@@ -19,16 +19,16 @@
 //! than the controllers (watch `mc_balance` stay healthy while GB/s
 //! drops — the controllers are fine, the link is the bottleneck).
 
-use serde::Serialize;
 use t2opt_bench::experiments::chip_scatter;
 use t2opt_bench::{write_json, Args, Table};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
+use t2opt_core::json::ToJson;
 use t2opt_core::mapping::PagePlacement;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_sim::ChipConfig;
 
 /// One measured (chip, placement) point.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct NumaRow {
     chip: String,
     placement: String,
@@ -37,7 +37,7 @@ struct NumaRow {
 }
 
 /// The per-chip local/remote summary the benchmark exists to show.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct NumaGap {
     chip: String,
     local_gbs: f64,
@@ -47,7 +47,7 @@ struct NumaGap {
     local_over_remote: f64,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct NumaOutput {
     kernel: String,
     n: usize,

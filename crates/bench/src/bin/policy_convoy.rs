@@ -30,16 +30,16 @@
 //! gap — the paper's layout fix, not the controller, remains the lever.
 //! `tests/integration.rs` pins exactly this shape.
 
-use serde::Serialize;
 use t2opt_bench::{write_json, Args, Table};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
+use t2opt_core::json::ToJson;
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
 use t2opt_parallel::Placement;
 use t2opt_sim::policy::PolicyKind;
 use t2opt_sim::ChipConfig;
 
 /// One measured cell of the study.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 struct ConvoyRow {
     /// Chip preset name.
     chip: String,
@@ -60,7 +60,7 @@ struct ConvoyRow {
 
 /// Per-chip × policy summary: the convoy-collapse ratio and the
 /// divergence from FIFO on both layouts.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 struct ConvoySummary {
     chip: String,
     policy: String,
@@ -77,7 +77,7 @@ struct ConvoySummary {
 }
 
 /// `BENCH_policy.json` envelope.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct ConvoyOutput {
     n: usize,
     threads: usize,

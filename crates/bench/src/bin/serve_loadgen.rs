@@ -34,19 +34,18 @@
 //! in-process server (the always-on counters and latency histograms keep
 //! working), for measuring the tracing-off overhead contract.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use t2opt_bench::expfmt::{check_prometheus, prom_quantile_bucket};
 use t2opt_bench::{write_json, Args};
 use t2opt_core::chip::PRESET_NAMES;
-use t2opt_core::json::{parse_json, JsonValue};
+use t2opt_core::json::{parse_json, JsonValue, ToJson};
 use t2opt_serve::{AdviceService, Client, Server, ServerConfig, WORKLOAD_NAMES};
 use t2opt_store::Store;
 use t2opt_telemetry::metrics::Histogram;
 
 /// Latency distribution for one response tier, in milliseconds.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct LatencyStats {
     count: usize,
     p50_ms: f64,
@@ -80,7 +79,7 @@ impl LatencyStats {
 }
 
 /// `BENCH_serve.json` envelope.
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct ServeBenchOutput {
     quick: bool,
     presets: Vec<String>,

@@ -1,7 +1,7 @@
 //! Experiment drivers: one function per paper figure, returning the series
 //! rows the figure plots. The binaries are thin wrappers around these.
 
-use serde::Serialize;
+use t2opt_core::json::ToJson;
 use t2opt_kernels::jacobi::{self, JacobiConfig, JacobiLayout};
 use t2opt_kernels::lbm::{self, LbmConfig, LbmLayout};
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
@@ -83,7 +83,7 @@ mod once_cell_mini {
 // ---------------------------------------------------------------------
 
 /// One Fig. 2 data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Fig2Row {
     /// COMMON-block offset in DP words (x-axis).
     pub offset: usize,
@@ -138,7 +138,7 @@ pub fn fig2_series(
 // ---------------------------------------------------------------------
 
 /// One Fig. 4 data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Fig4Row {
     /// Array length N (x-axis).
     pub n: usize,
@@ -182,7 +182,7 @@ pub fn fig4_series(
 // ---------------------------------------------------------------------
 
 /// One Fig. 5 data point (host measurement).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Fig5Row {
     /// Array length N (x-axis, log scale in the paper).
     pub n: usize,
@@ -218,7 +218,7 @@ pub fn fig5_series(pool: &ThreadPool, ns: &[usize], ntimes: usize) -> Vec<Fig5Ro
 // ---------------------------------------------------------------------
 
 /// One Fig. 6 data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Fig6Row {
     /// Grid side N (x-axis).
     pub n: usize,
@@ -285,7 +285,7 @@ pub fn fig6_layout(plain: bool) -> JacobiLayout {
 // ---------------------------------------------------------------------
 
 /// One Fig. 7 data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Fig7Row {
     /// Domain side N (x-axis).
     pub n: usize,

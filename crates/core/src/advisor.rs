@@ -41,10 +41,9 @@
 
 use crate::chip::SocketTopology;
 use crate::mapping::{MapPolicy, PagePlacement};
-use serde::Serialize;
 
 /// Direction of an access stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKind {
     /// Pure load stream: one blocking unit per line.
     Read,
@@ -87,7 +86,7 @@ impl StreamKind {
 
 /// One unit-stride access stream of a loop kernel: a base byte address (or
 /// base offset within an allocation) plus its direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamDesc {
     /// Byte address of the stream's first element.
     pub base: u64,
@@ -122,7 +121,7 @@ impl StreamDesc {
 }
 
 /// Result of a layout prediction.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
     /// Controller-utilization efficiency in (0, 1]. 1.0 = all controllers
     /// saturated; `→ 1/n_mc` = full convoy on a single controller.
@@ -139,7 +138,7 @@ pub struct Prediction {
 }
 
 /// Which constraint bounds the runtime in a [`Prediction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Convoy: blocking units concentrate on few controllers per phase.
     Convoy,

@@ -1,38 +1,54 @@
-//! Minimal JSON support shared by the workspace: serialization of any
-//! `serde::Serialize` type via serde's data model, and a small
+//! Minimal JSON support shared by the workspace: the [`ToJson`] writer
+//! (implemented below for the std types results use, derived for the
+//! workspace's own types with `#[derive(ToJson)]`), and a small
 //! recursive-descent parser into [`JsonValue`] for reading results back
 //! (e.g. the autotuner's persistent result cache).
 //!
-//! This avoids a `serde_json` dependency: only the constructs our results
-//! use — objects, arrays, strings, numbers, bools, null — are supported.
+//! Only the constructs our results use — objects, arrays, strings,
+//! numbers, bools, null — are supported. The output is compact and its
+//! bytes are a contract: trial keys, store records and benchmark digests
+//! are hashes of it. The rules:
+//!
+//! * a struct with named fields is `{"f":v,…}` in declaration order; a
+//!   one-field tuple struct is its inner value; wider tuple structs,
+//!   tuples, slices, `Vec`s and arrays are `[…]`; unit structs and `()`
+//!   are `null`, as is `None` (`Some(v)` is `v`);
+//! * a unit variant is `"V"`, a one-field variant `{"V":v}`, a wider tuple
+//!   variant `{"V":[…]}` and a struct variant `{"V":{…}}`;
+//! * integers and finite floats use `Display` (`f32` widened to `f64`
+//!   first); non-finite floats are `null`;
+//! * strings escape `"`, `\`, `\n`, `\t`, `\r` and other control
+//!   characters as `\u00XX`;
+//! * a map key that does not render as a JSON string (an integer, say) is
+//!   quoted as one.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::fmt::Write as _;
+use std::io::Write as _;
+
+pub use t2opt_json_derive::ToJson;
+
+/// A value that writes itself as compact JSON (see the module docs for the
+/// exact bytes). Derive it with `#[derive(ToJson)]`.
+pub trait ToJson {
+    /// Appends this value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
 
 /// Serializes `data` as JSON into `path`.
-pub fn write_json<T: Serialize>(path: &str, data: &T) -> std::io::Result<()> {
+pub fn write_json<T: ToJson + ?Sized>(path: &str, data: &T) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
-    let json = to_json_string(data);
-    file.write_all(json.as_bytes())
+    file.write_all(to_json_string(data).as_bytes())
 }
 
 /// Serializes `data` to a compact JSON string.
-///
-/// # Panics
-/// Panics if the type reports a serialization error (none of the workspace
-/// result types do).
-pub fn to_json_string<T: Serialize>(data: &T) -> String {
-    let mut ser = MiniJson { out: String::new() };
-    data.serialize(&mut ser).expect("JSON serialization failed");
-    ser.out
+pub fn to_json_string<T: ToJson + ?Sized>(data: &T) -> String {
+    let mut out = String::new();
+    data.write_json(&mut out);
+    out
 }
 
-struct MiniJson {
-    out: String,
-}
-
-/// Error type of the minimal JSON serializer.
+/// Error of the JSON parser.
 #[derive(Debug)]
 pub struct JsonErr(String);
 
@@ -42,14 +58,9 @@ impl std::fmt::Display for JsonErr {
     }
 }
 impl std::error::Error for JsonErr {}
-impl serde::ser::Error for JsonErr {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        JsonErr(msg.to_string())
-    }
-}
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Writes `s` as a quoted, escaped JSON string.
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -58,324 +69,179 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
-macro_rules! simple_num {
-    ($($fn_name:ident: $ty:ty),* $(,)?) => {
-        $(fn $fn_name(self, v: $ty) -> Result<(), JsonErr> {
-            self.out.push_str(&v.to_string());
-            Ok(())
+/// Writes `key` as an object key: its JSON text, quoted as a string if it
+/// is not one already.
+fn write_key<K: ToJson + ?Sized>(out: &mut String, key: &K) {
+    let start = out.len();
+    key.write_json(out);
+    let text = &out[start..];
+    if text.starts_with('"') {
+        return;
+    }
+    if text.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        let raw = out.split_off(start);
+        write_str(out, &raw);
+    } else {
+        out.insert(start, '"');
+        out.push('"');
+    }
+}
+
+fn write_map<'a, K: ToJson + 'a, V: ToJson + 'a>(
+    out: &mut String,
+    entries: impl Iterator<Item = (&'a K, &'a V)>,
+) {
+    out.push('{');
+    for (i, (k, v)) in entries.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_key(out, k);
+        out.push(':');
+        v.write_json(out);
+    }
+    out.push('}');
+}
+
+macro_rules! display_impls {
+    ($($ty:ty),*) => {
+        $(impl ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
         })*
     };
 }
 
-impl<'a> serde::Serializer for &'a mut MiniJson {
-    type Ok = ();
-    type Error = JsonErr;
-    type SerializeSeq = SeqSer<'a>;
-    type SerializeTuple = SeqSer<'a>;
-    type SerializeTupleStruct = SeqSer<'a>;
-    type SerializeTupleVariant = SeqSer<'a>;
-    type SerializeMap = MapSer<'a>;
-    type SerializeStruct = MapSer<'a>;
-    type SerializeStructVariant = MapSer<'a>;
+display_impls!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 
-    simple_num! {
-        serialize_i8: i8, serialize_i16: i16, serialize_i32: i32, serialize_i64: i64,
-        serialize_u8: u8, serialize_u16: u16, serialize_u32: u32, serialize_u64: u64,
-    }
-
-    fn serialize_bool(self, v: bool) -> Result<(), JsonErr> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-
-    fn serialize_f32(self, v: f32) -> Result<(), JsonErr> {
-        self.serialize_f64(v as f64)
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<(), JsonErr> {
-        if v.is_finite() {
-            self.out.push_str(&format!("{v}"));
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
         } else {
-            self.out.push_str("null");
+            out.push_str("null");
         }
-        Ok(())
     }
+}
 
-    fn serialize_char(self, v: char) -> Result<(), JsonErr> {
-        self.out.push_str(&escape(&v.to_string()));
-        Ok(())
+impl ToJson for f32 {
+    fn write_json(&self, out: &mut String) {
+        f64::from(*self).write_json(out);
     }
+}
 
-    fn serialize_str(self, v: &str) -> Result<(), JsonErr> {
-        self.out.push_str(&escape(v));
-        Ok(())
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
+}
 
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), JsonErr> {
-        use serde::ser::SerializeSeq;
-        let mut seq = self.serialize_seq(Some(v.len()))?;
-        for b in v {
-            seq.serialize_element(b)?;
+impl ToJson for char {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self.encode_utf8(&mut [0; 4]));
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl ToJson for () {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("null");
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for Box<T> {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
-        seq.end()
-    }
-
-    fn serialize_none(self) -> Result<(), JsonErr> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), JsonErr> {
-        value.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<(), JsonErr> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), JsonErr> {
-        self.serialize_unit()
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-    ) -> Result<(), JsonErr> {
-        self.serialize_str(variant)
-    }
-
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), JsonErr> {
-        value.serialize(self)
-    }
-
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), JsonErr> {
-        self.out.push('{');
-        self.out.push_str(&escape(variant));
-        self.out.push(':');
-        value.serialize(&mut *self)?;
-        self.out.push('}');
-        Ok(())
-    }
-
-    fn serialize_seq(self, _len: Option<usize>) -> Result<SeqSer<'a>, JsonErr> {
-        self.out.push('[');
-        Ok(SeqSer {
-            ser: self,
-            first: true,
-        })
-    }
-
-    fn serialize_tuple(self, len: usize) -> Result<SeqSer<'a>, JsonErr> {
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        len: usize,
-    ) -> Result<SeqSer<'a>, JsonErr> {
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<SeqSer<'a>, JsonErr> {
-        self.out.push('{');
-        self.out.push_str(&escape(variant));
-        self.out.push(':');
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_map(self, _len: Option<usize>) -> Result<MapSer<'a>, JsonErr> {
-        self.out.push('{');
-        Ok(MapSer {
-            ser: self,
-            first: true,
-            close_extra: false,
-        })
-    }
-
-    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<MapSer<'a>, JsonErr> {
-        self.serialize_map(Some(len))
-    }
-
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<MapSer<'a>, JsonErr> {
-        self.out.push('{');
-        self.out.push_str(&escape(variant));
-        self.out.push(':');
-        let mut m = self.serialize_map(Some(len))?;
-        m.close_extra = true;
-        Ok(m)
     }
 }
 
-/// Sequence serializer.
-pub struct SeqSer<'a> {
-    ser: &'a mut MiniJson,
-    first: bool,
-}
-
-impl SeqSer<'_> {
-    fn sep(&mut self) {
-        if !self.first {
-            self.ser.out.push(',');
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
         }
-        self.first = false;
+        out.push(']');
     }
 }
 
-impl serde::ser::SerializeSeq for SeqSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        self.sep();
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        self.ser.out.push(']');
-        Ok(())
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
-impl serde::ser::SerializeTuple for SeqSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::end(self)
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
-impl serde::ser::SerializeTupleStruct for SeqSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::end(self)
+impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
+    fn write_json(&self, out: &mut String) {
+        write_map(out, self.iter());
     }
 }
 
-impl serde::ser::SerializeTupleVariant for SeqSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        self.ser.out.push_str("]}");
-        Ok(())
-    }
+macro_rules! tuple_impls {
+    ($(($first:ident . $fi:tt $(, $name:ident . $idx:tt)*))*) => {
+        $(impl<$first: ToJson $(, $name: ToJson)*> ToJson for ($first, $($name,)*) {
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                self.$fi.write_json(out);
+                $(
+                    out.push(',');
+                    self.$idx.write_json(out);
+                )*
+                out.push(']');
+            }
+        })*
+    };
 }
 
-/// Map/struct serializer.
-pub struct MapSer<'a> {
-    ser: &'a mut MiniJson,
-    first: bool,
-    close_extra: bool,
-}
-
-impl MapSer<'_> {
-    fn sep(&mut self) {
-        if !self.first {
-            self.ser.out.push(',');
-        }
-        self.first = false;
-    }
-}
-
-impl serde::ser::SerializeMap for MapSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), JsonErr> {
-        self.sep();
-        // Keys must serialize as strings; serialize into a scratch buffer
-        // and quote if the result isn't already a string.
-        let mut scratch = MiniJson { out: String::new() };
-        key.serialize(&mut scratch)?;
-        if scratch.out.starts_with('"') {
-            self.ser.out.push_str(&scratch.out);
-        } else {
-            self.ser.out.push_str(&escape(&scratch.out));
-        }
-        Ok(())
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        self.ser.out.push(':');
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        self.ser.out.push('}');
-        if self.close_extra {
-            self.ser.out.push('}');
-        }
-        Ok(())
-    }
-}
-
-impl serde::ser::SerializeStruct for MapSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), JsonErr> {
-        serde::ser::SerializeMap::serialize_key(self, key)?;
-        serde::ser::SerializeMap::serialize_value(self, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        serde::ser::SerializeMap::end(self)
-    }
-}
-
-impl serde::ser::SerializeStructVariant for MapSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), JsonErr> {
-        serde::ser::SerializeStruct::serialize_field(self, key, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        serde::ser::SerializeStruct::end(self)
-    }
+tuple_impls! {
+    (A.0, B.1)
+    (A.0, B.1, C.2)
+    (A.0, B.1, C.2, D.3)
 }
 
 /// A parsed JSON document.
@@ -640,9 +506,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize;
 
-    #[derive(Serialize)]
+    #[derive(ToJson)]
     struct Row {
         n: usize,
         gbs: f64,
@@ -669,7 +534,7 @@ mod tests {
 
     #[test]
     fn json_vec_of_structs() {
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct P {
             x: u32,
         }
@@ -679,7 +544,7 @@ mod tests {
 
     #[test]
     fn json_enum_variants() {
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         enum E {
             Unit,
             Tuple(u32, u32),
@@ -702,20 +567,20 @@ mod tests {
     #[test]
     fn json_bytes_of_every_shape() {
         use std::collections::BTreeMap;
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct Newtype(u32);
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct Pair(i8, String);
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct Unit;
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         enum V {
             Unit,
             One(f64),
             Two(u8, bool),
             Named { x: Option<Option<u32>>, y: () },
         }
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct All {
             newtype: Newtype,
             pair: Pair,

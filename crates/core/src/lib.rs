@@ -58,6 +58,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+// `#[derive(ToJson)]` expands to `::t2opt_core::json::…` paths; this makes
+// them resolve inside the crate too.
+extern crate self as t2opt_core;
+
 pub mod advisor;
 pub mod alloc;
 pub mod chip;

@@ -19,7 +19,6 @@
 //! shows the period-64/32 aliasing vs N (Fig. 6).
 
 use crate::common::{place_threads, VirtualAlloc};
-use serde::Serialize;
 use t2opt_core::layout::{LayoutSpec, SegLayout, SegmentPlan};
 use t2opt_core::seg_array::SegArray;
 use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
@@ -27,7 +26,7 @@ use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// Grid layout variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JacobiLayout {
     /// Contiguous row-major grid, `malloc`-style base.
     Plain,
@@ -37,7 +36,7 @@ pub enum JacobiLayout {
 }
 
 /// Configuration of a Jacobi experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JacobiConfig {
     /// Grid side N (domain is N×N, boundary fixed).
     pub n: usize,
@@ -152,7 +151,7 @@ pub fn build_trace(cfg: &JacobiConfig, chip: &ChipConfig) -> Vec<Program> {
 }
 
 /// Result of a simulated Jacobi run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JacobiResult {
     /// Million lattice-site updates per second — the Fig. 6 y-axis.
     pub mlups: f64,

@@ -23,7 +23,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::common::{place_threads, VirtualAlloc};
-use serde::Serialize;
+use t2opt_core::json::ToJson;
 use t2opt_parallel::{chunk_assignment, Coalesce2, Placement, Schedule, ThreadPool};
 use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
@@ -91,7 +91,7 @@ pub fn opposite(i: usize) -> usize {
 pub const FLOPS_PER_SITE: f64 = 180.0;
 
 /// Distribution-array layout (the Fig. 7 comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson)]
 pub enum LbmLayout {
     /// Structure of arrays: `f(x, y, z, v)` — v-stride `(N+2)³`.
     IJKv,
@@ -471,7 +471,7 @@ fn collide_stream_cell(
 // ---------------------------------------------------------------------
 
 /// Configuration of a simulated LBM performance run (Fig. 7).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LbmConfig {
     /// Cubic domain side N (without halo).
     pub n: usize,
@@ -614,7 +614,7 @@ pub fn build_trace(cfg: &LbmConfig, chip: &ChipConfig) -> Vec<Program> {
 }
 
 /// Result of a simulated LBM run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LbmResult {
     /// Million lattice-site updates per second — the Fig. 7 y-axis.
     pub mlups: f64,

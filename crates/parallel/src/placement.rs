@@ -12,7 +12,7 @@
 //! actually matters for reproducing the paper.
 
 /// A policy mapping team-thread indices to core indices.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum Placement {
     /// No pinning: leave threads wherever the OS puts them.
     #[default]

@@ -19,14 +19,13 @@
 
 use crate::http::Response;
 use crate::refine::{RefineJob, RefineQueue};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use t2opt_autotune::surrogate::{model_for_chip, surrogate_score};
 use t2opt_autotune::{ParamSpace, ResultCache, SearchStrategy, Tuner, Workload};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
-use t2opt_core::json::{parse_json, to_json_string};
+use t2opt_core::json::{parse_json, to_json_string, ToJson};
 use t2opt_core::layout::LayoutSpec;
 use t2opt_kernels::lbm::LbmLayout;
 use t2opt_model::PerfModel;
@@ -67,7 +66,7 @@ pub struct AdviseQuery {
 }
 
 /// The JSON body answered to `/advise`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct AdviseAnswer {
     /// Chip preset the advice is for.
     pub chip: String,

@@ -33,7 +33,7 @@
 //! be rebuilt identically by an identical run — simulations stay
 //! bit-reproducible under every policy.
 
-use serde::Serialize;
+use t2opt_core::json::ToJson;
 
 /// DRAM row size assumed by row-aware policies (FR-FCFS): requests within
 /// the same aligned 4 KiB block of one controller's address space count as
@@ -245,7 +245,7 @@ impl QueuePolicy for FrFcfsPolicy {
 /// Configuration-level policy selector: which [`QueuePolicy`] each memory
 /// controller runs. Part of [`crate::config::ChipConfig`]; the default is
 /// [`PolicyKind::Fifo`], which preserves the pre-policy engine bitwise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, ToJson)]
 pub enum PolicyKind {
     /// Strict arrival order (the calibrated default).
     #[default]

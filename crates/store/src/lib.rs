@@ -29,14 +29,13 @@ pub mod metrics;
 
 pub use metrics::{StoreMetrics, StoreSnapshot};
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
-use t2opt_core::json::{parse_json, JsonValue};
+use t2opt_core::json::{parse_json, JsonValue, ToJson};
 use t2opt_core::layout::LayoutSpec;
 
 /// Side-table record describing what a stored entry measured. `tag` groups
@@ -44,7 +43,7 @@ use t2opt_core::layout::LayoutSpec;
 /// absolute values never do), `chip` fences off measurements from different
 /// memory systems, and `spec` is the layout the bandwidth was measured
 /// under. Re-exported by `t2opt-autotune` as `cache::TrialMeta`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, ToJson)]
 pub struct TrialMeta {
     /// Workload-family tag (`Workload::tag`).
     pub tag: String,

@@ -11,8 +11,8 @@
 //! where the old delta-push scheme could double count under racing
 //! publishers.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use t2opt_core::json::ToJson;
 use t2opt_telemetry::metrics::{Histogram, HistogramSnapshot, Sink};
 
 /// Monotone counters for one [`crate::Store`].
@@ -31,7 +31,7 @@ pub struct StoreMetrics {
 
 /// Point-in-time copy of the counters plus occupancy, serializable into
 /// `/metrics` responses and bench envelopes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, ToJson)]
 pub struct StoreSnapshot {
     /// Lookups answered from the store.
     pub hits: u64,

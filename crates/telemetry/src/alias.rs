@@ -11,12 +11,11 @@
 //! congruence class — the static cause of the dynamic signature.
 
 use crate::timeline::Timeline;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use t2opt_core::chip::ChipSpec;
 
 /// Thresholds for [`AliasReport::analyze`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AliasConfig {
     /// The controller-aliasing period in bytes: stream bases equal modulo
     /// this value follow the same controller sequence. 512 on the T2;
@@ -66,7 +65,7 @@ impl Default for AliasConfig {
 }
 
 /// One flagged window.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WindowFlag {
     /// Index into `Timeline::windows`.
     pub index: usize,
@@ -81,7 +80,7 @@ pub struct WindowFlag {
 }
 
 /// The outcome of the aliasing analysis; see the module docs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AliasReport {
     /// The aliasing period (bytes) the analysis grouped stream bases by.
     pub period: u64,

@@ -10,15 +10,14 @@
 use crate::metrics::{HistogramSnapshot, SpanRecord};
 use crate::timeline::Timeline;
 use crate::trace::TraceRecord;
-use serde::Serialize;
-use t2opt_core::json::to_json_string;
+use t2opt_core::json::{to_json_string, ToJson};
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct NameArgs {
     name: String,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct MetaEvent {
     ph: String,
     pid: u32,
@@ -27,7 +26,7 @@ struct MetaEvent {
     args: NameArgs,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct SliceEvent {
     ph: String,
     pid: u32,
@@ -38,12 +37,12 @@ struct SliceEvent {
     dur: f64,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct ValueArgs {
     value: f64,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct CounterEvent {
     ph: String,
     pid: u32,
@@ -167,14 +166,14 @@ pub fn spans_chrome_trace(spans: &[SpanRecord], counters: &[(String, u64)]) -> S
     envelope(events)
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct SpanIdArgs {
     trace: String,
     span: String,
     parent: String,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct TracedSliceEvent {
     ph: String,
     pid: u32,
@@ -391,7 +390,7 @@ pub fn prometheus_text(
     out
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct MetaLine {
     record: String,
     interval: u64,
@@ -402,27 +401,27 @@ struct MetaLine {
     events_dropped: u64,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct WindowLine {
     record: String,
     index: usize,
     window: crate::timeline::Window,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct StallLine {
     record: String,
     tid: usize,
     stalls: crate::timeline::ThreadStalls,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct StreamLine {
     record: String,
     stream: crate::timeline::StreamLabel,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct EventLine {
     record: String,
     event: crate::timeline::SimEvent,

@@ -9,7 +9,6 @@
 //! plain atomics the caller may cache); an enabled sink costs an atomic
 //! RMW per counter bump and a mutex push per finished span.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -122,7 +121,7 @@ impl Histogram {
 }
 
 /// A point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (see [`Histogram`] for the mapping).
     pub buckets: Vec<u64>,
@@ -280,7 +279,7 @@ impl<T> RingLog<T> {
 /// [`crate::trace`]): all zero for plain un-traced spans, otherwise
 /// `trace_id` groups the spans of one logical request, `span_id` names
 /// this span, and `parent_id` is the enclosing span (0 for a root).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Span name (e.g. `"trial offset=128"`).
     pub name: String,

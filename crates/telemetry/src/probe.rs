@@ -8,10 +8,8 @@
 //! instrumentation — zero cost, and bitwise-identical `SimStats`
 //! (pinned by a regression test in the workspace integration suite).
 
-use serde::Serialize;
-
 /// Why a simulated thread spent cycles not retiring ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallKind {
     /// Blocked on the per-thread outstanding-load-miss budget.
     LoadMiss,

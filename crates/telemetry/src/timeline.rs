@@ -11,11 +11,11 @@
 
 use crate::metrics::RingLog;
 use crate::probe::{SimProbe, StallKind};
-use serde::Serialize;
+use t2opt_core::json::ToJson;
 
 /// A named address stream, used by the alias analysis to report *which*
 /// arrays convoy (their congruence class mod 512 B is what matters).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, ToJson)]
 pub struct StreamLabel {
     /// Human-readable stream name (e.g. `"B"` or `"src row 3"`).
     pub name: String,
@@ -74,7 +74,7 @@ impl TraceConfig {
 }
 
 /// One fixed-width window of simulator activity.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, ToJson)]
 pub struct Window {
     /// First cycle of the window.
     pub start_cycle: u64,
@@ -126,7 +126,7 @@ impl Window {
 }
 
 /// Per-thread cycles lost to each stall cause.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, ToJson)]
 pub struct ThreadStalls {
     /// Outstanding-load-miss budget.
     pub load_miss: u64,
@@ -170,7 +170,7 @@ impl ThreadStalls {
 }
 
 /// A discrete simulator event retained in the bounded log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, ToJson)]
 pub enum SimEvent {
     /// A request was NACKed.
     Nack {
@@ -195,7 +195,7 @@ pub enum SimEvent {
 }
 
 /// The assembled time-resolved record of one simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     /// Window width in cycles.
     pub interval: u64,

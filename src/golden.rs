@@ -22,7 +22,7 @@
 //! unshrunk calibrated machine.
 
 use t2opt_core::chip::PRESET_NAMES;
-use t2opt_core::json::JsonValue;
+use t2opt_core::json::{JsonValue, ToJson};
 use t2opt_core::mapping::PagePlacement;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
@@ -39,14 +39,14 @@ pub const GOLDEN_PATH: &str = "tests/golden/policy_fifo.json";
 pub const POLICY_GOLDEN_PATH: &str = "tests/golden/policy_arbitrated.json";
 
 /// Serialized envelope of one matrix capture.
-#[derive(serde::Serialize)]
+#[derive(ToJson)]
 pub struct GoldenFile {
     /// All matrix cases, in matrix order.
     pub cases: Vec<GoldenCase>,
 }
 
 /// One (workload, chip) cell of the matrix.
-#[derive(serde::Serialize)]
+#[derive(ToJson)]
 pub struct GoldenCase {
     /// Stable case name, `<preset>/<workload>`.
     pub name: String,
