@@ -527,8 +527,9 @@ impl LbmConfig {
     }
 }
 
-/// Builds the per-thread simulator programs: warm-up step, barrier 0, then
-/// `timesteps` measured steps with barriers (the toggle swap).
+/// Builds the per-thread simulator programs: `timesteps` steps (at least
+/// one) separated by barriers (the toggle swap). There is no warm-up step:
+/// every step is measured, as [`LbmConfig::site_updates`] counts.
 pub fn build_trace(cfg: &LbmConfig, chip: &ChipConfig) -> Vec<Program> {
     let n = cfg.n;
     let d = n + 2;
@@ -628,8 +629,7 @@ pub struct LbmResult {
 pub fn run_sim(cfg: &LbmConfig, chip: &ChipConfig, placement: &Placement) -> LbmResult {
     let programs = build_trace(cfg, chip);
     let threads = place_threads(programs, placement, chip.core.n_cores);
-    let sim = Simulation::new(chip.clone()).measure_after_barrier(0);
-    let stats = sim.run(threads);
+    let stats = Simulation::new(chip.clone()).run(threads);
     LbmResult {
         mlups: stats.mlups(chip, cfg.site_updates()),
         l2_hit_rate: stats.l2_hit_rate(),
@@ -864,10 +864,27 @@ mod tests {
                 }
             }
         }
-        // 2 steps × 19 streams × N² rows. Each row is 16 doubles = 128 B,
+        // 2 touches × 19 streams × N² rows. Each row is 16 doubles = 128 B,
         // but starts at x = 1 (one halo element in), so it straddles three
-        // 64 B lines, each read once.
+        // 64 B lines, each touched twice (see `with_touches`).
         assert_eq!(reads, 2 * 19 * 16 * 16 * 3);
+    }
+
+    #[test]
+    fn every_timestep_is_measured() {
+        // site_updates() counts every timestep, so the measurement window
+        // must cover every timestep too.
+        let chip = ChipConfig::ultrasparc_t2();
+        let l2_accesses = |timesteps| {
+            let cfg = LbmConfig {
+                timesteps,
+                y_rows: Some(2),
+                ..LbmConfig::new(30, LbmLayout::IvJK, 16, false)
+            };
+            let stats = run_sim(&cfg, &chip, &Placement::t2_scatter()).stats;
+            stats.l2_hits + stats.l2_misses
+        };
+        assert_eq!(l2_accesses(2), 2 * l2_accesses(1));
     }
 
     #[test]
