@@ -1,8 +1,10 @@
 //! Experiment drivers: one function per paper figure, returning the series
 //! rows the figure plots. The binaries are thin wrappers around these.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use t2opt_core::json::ToJson;
-use t2opt_kernels::jacobi::{self, JacobiConfig, JacobiLayout};
+use t2opt_kernels::jacobi::{self, JacobiConfig};
 use t2opt_kernels::lbm::{self, LbmConfig, LbmLayout};
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
@@ -15,67 +17,30 @@ use t2opt_sim::ChipConfig;
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Sync,
-    R: Send,
+    R: Send + Sync,
     F: Fn(&T) -> R + Sync,
 {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(items.len().max(1));
-    let results: Vec<once_cell_mini::OnceCell<R>> = (0..items.len())
-        .map(|_| once_cell_mini::OnceCell::new())
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let results: Vec<OnceLock<R>> = (0..items.len()).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= items.len() {
                     break;
                 }
-                results[i].set(f(&items[i]));
+                assert!(results[i].set(f(&items[i])).is_ok(), "result set twice");
             });
         }
     });
-    results.into_iter().map(|c| c.take()).collect()
-}
-
-/// A tiny once-cell so `par_map` needs no extra dependencies.
-mod once_cell_mini {
-    use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub struct OnceCell<T> {
-        set: AtomicBool,
-        value: UnsafeCell<Option<T>>,
-    }
-
-    // SAFETY: each cell is written exactly once by exactly one thread (the
-    // index partition in par_map), then read after the scope joins.
-    unsafe impl<T: Send> Sync for OnceCell<T> {}
-    unsafe impl<T: Send> Send for OnceCell<T> {}
-
-    impl<T> OnceCell<T> {
-        pub fn new() -> Self {
-            OnceCell {
-                set: AtomicBool::new(false),
-                value: UnsafeCell::new(None),
-            }
-        }
-
-        pub fn set(&self, v: T) {
-            assert!(!self.set.swap(true, Ordering::AcqRel), "OnceCell set twice");
-            // SAFETY: the swap above guarantees exclusive access.
-            unsafe { *self.value.get() = Some(v) };
-        }
-
-        pub fn take(self) -> T {
-            assert!(self.set.load(Ordering::Acquire), "OnceCell never set");
-            self.value
-                .into_inner()
-                .expect("value present when flag set")
-        }
-    }
+    results
+        .into_iter()
+        .map(|cell| cell.into_inner().expect("result never set"))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -268,16 +233,6 @@ pub fn fig6_series(
             l2_hit_rate: res.l2_hit_rate,
         }
     })
-}
-
-/// Which Jacobi layout a Fig. 6 variant uses (exposed for the ablation
-/// binary).
-pub fn fig6_layout(plain: bool) -> JacobiLayout {
-    if plain {
-        JacobiLayout::Plain
-    } else {
-        JacobiLayout::Optimized
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -82,11 +82,3 @@ pub mod prelude {
     pub use crate::mapping::{AddressMap, MapPolicy, PagePlacement};
     pub use crate::seg_array::{SegArray, SegArrayBuilder};
 }
-
-/// Cache line size of the UltraSPARC T2 (and virtually every modern CPU), in
-/// bytes. Used as the default granularity for offsets and padding.
-pub const CACHE_LINE: usize = 64;
-
-/// The T2 "super-line": the period, in bytes, after which the
-/// line → controller/bank mapping repeats (4 controllers × 2 banks × 64 B).
-pub const SUPER_LINE: usize = 512;

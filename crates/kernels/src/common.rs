@@ -42,11 +42,6 @@ impl VirtualAlloc {
         self.alloc(bytes + 16, 16, 16)
     }
 
-    /// Current cursor (useful to leave deliberate gaps).
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
     /// Moves the cursor forward by `bytes` (a guard gap).
     pub fn gap(&mut self, bytes: u64) {
         self.cursor += bytes;

@@ -253,21 +253,6 @@ impl JacobiHost {
         }
     }
 
-    /// Runs sweeps serially (reference implementation).
-    pub fn run_serial(&mut self, sweeps: usize) {
-        let n = self.n;
-        for _ in 0..sweeps {
-            let (src, dst) = self.split();
-            for i in 1..n - 1 {
-                let above = src.segment(i - 1).to_vec();
-                let below = src.segment(i + 1).to_vec();
-                let center = src.segment(i).to_vec();
-                relax_line(dst.segment_mut(i), &above, &below, &center);
-            }
-            self.cur ^= 1;
-        }
-    }
-
     fn split(&mut self) -> (&SegArray<f64>, &mut SegArray<f64>) {
         let (lo, hi) = self.grids.split_at_mut(1);
         if self.cur == 0 {

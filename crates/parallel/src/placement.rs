@@ -59,11 +59,6 @@ impl Placement {
         }
     }
 
-    /// Full core map for a team of `t` threads (entries `None` = unpinned).
-    pub fn core_map(&self, t: usize) -> Vec<Option<usize>> {
-        (0..t).map(|tid| self.core_of(tid)).collect()
-    }
-
     /// How many team threads land on each of `n_cores` cores (unpinned
     /// threads are not counted).
     pub fn occupancy(&self, t: usize, n_cores: usize) -> Vec<usize> {

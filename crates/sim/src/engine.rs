@@ -146,21 +146,6 @@ impl Simulation {
         self.run(Self::specs_from(programs, core_of))
     }
 
-    /// As [`Simulation::run_programs`], but with time-resolved telemetry:
-    /// returns the [`Timeline`] collected under `trace` alongside the
-    /// statistics.
-    pub fn run_programs_traced<F>(
-        &self,
-        programs: Vec<Program>,
-        core_of: F,
-        trace: &TraceConfig,
-    ) -> (SimStats, Timeline)
-    where
-        F: Fn(usize) -> usize,
-    {
-        self.run_traced(Self::specs_from(programs, core_of), trace)
-    }
-
     fn specs_from<F>(programs: Vec<Program>, core_of: F) -> Vec<ThreadSpec>
     where
         F: Fn(usize) -> usize,

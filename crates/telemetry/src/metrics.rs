@@ -490,27 +490,6 @@ impl Drop for SpanGuard {
     }
 }
 
-thread_local! {
-    static THREAD_SINK: std::cell::RefCell<Option<Arc<Sink>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Installs `sink` as this thread's ambient sink (for hot code that cannot
-/// thread a handle through its signature).
-pub fn install_thread_sink(sink: Arc<Sink>) {
-    THREAD_SINK.with(|s| *s.borrow_mut() = Some(sink));
-}
-
-/// Removes this thread's ambient sink.
-pub fn clear_thread_sink() {
-    THREAD_SINK.with(|s| *s.borrow_mut() = None);
-}
-
-/// Runs `f` with this thread's ambient sink, if one is installed.
-pub fn with_thread_sink<R>(f: impl FnOnce(&Arc<Sink>) -> R) -> Option<R> {
-    THREAD_SINK.with(|s| s.borrow().as_ref().map(f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,15 +619,5 @@ mod tests {
         let top = Histogram::new();
         top.record(u64::MAX);
         assert_eq!(top.snapshot().quantile_bounds(1.0), (1 << 62, u64::MAX));
-    }
-
-    #[test]
-    fn thread_sink_is_ambient() {
-        let sink = Sink::enabled();
-        install_thread_sink(Arc::clone(&sink));
-        with_thread_sink(|s| s.counter("x").inc()).expect("installed");
-        clear_thread_sink();
-        assert_eq!(with_thread_sink(|_| ()), None);
-        assert_eq!(sink.counter("x").get(), 1);
     }
 }
