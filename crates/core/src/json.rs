@@ -17,8 +17,9 @@
 //!   variant `{"V":[…]}` and a struct variant `{"V":{…}}`;
 //! * integers and finite floats use `Display` (`f32` widened to `f64`
 //!   first); non-finite floats are `null`;
-//! * strings escape `"`, `\`, `\n`, `\t`, `\r` and other control
-//!   characters as `\u00XX`;
+//! * strings escape `"` and `\` with a backslash, newline, tab and
+//!   carriage return as `\n`, `\t`, `\r`, and other control characters
+//!   as `\u00xx`;
 //! * a map key that does not render as a JSON string (an integer, say) is
 //!   quoted as one.
 

@@ -2,10 +2,11 @@
 //! Prometheus text exposition, and a terminal ASCII heatmap.
 //!
 //! All JSON is produced through `t2opt_core::json` (the workspace's
-//! dependency-free serializer). The Chrome-trace envelope
-//! (`{"traceEvents": [...]}`) is assembled by hand around
-//! serde-serialized event objects because the vendored derive supports
-//! plain structs only.
+//! dependency-free writer). The Chrome-trace envelope
+//! (`{"traceEvents": [...]}`) is joined by hand from individually written
+//! event objects: the events are of several struct types, and
+//! `#[derive(ToJson)]` writes enum variants tagged (`{"V":…}`), so one
+//! enum over them would not produce Chrome's flat event objects.
 
 use crate::metrics::{HistogramSnapshot, SpanRecord};
 use crate::timeline::Timeline;
