@@ -80,37 +80,14 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 /// Writes `key` as an object key: its JSON text, quoted as a string if it
-/// is not one already.
+/// is not one already (an integer key, say; no workspace type has one).
 fn write_key<K: ToJson + ?Sized>(out: &mut String, key: &K) {
     let start = out.len();
     key.write_json(out);
-    let text = &out[start..];
-    if text.starts_with('"') {
-        return;
-    }
-    if text.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+    if !out[start..].starts_with('"') {
         let raw = out.split_off(start);
         write_str(out, &raw);
-    } else {
-        out.insert(start, '"');
-        out.push('"');
     }
-}
-
-fn write_map<'a, K: ToJson + 'a, V: ToJson + 'a>(
-    out: &mut String,
-    entries: impl Iterator<Item = (&'a K, &'a V)>,
-) {
-    out.push('{');
-    for (i, (k, v)) in entries.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_key(out, k);
-        out.push(':');
-        v.write_json(out);
-    }
-    out.push('}');
 }
 
 macro_rules! display_impls {
@@ -219,7 +196,16 @@ impl<T: ToJson> ToJson for Vec<T> {
 
 impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
     fn write_json(&self, out: &mut String) {
-        write_map(out, self.iter());
+        out.push('{');
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_key(out, k);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
     }
 }
 
