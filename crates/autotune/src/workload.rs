@@ -3,20 +3,23 @@
 //! A [`Workload`] fixes everything about a trial *except* the layout: which
 //! streams the kernel touches, the problem size, the thread count, and the
 //! measurement protocol (warm-up sweep + measured repetitions). Given a
-//! candidate [`LayoutSpec`] it builds the per-thread simulator programs —
-//! every array `j` is laid out with block offset `j · spec.block_offset`
-//! and split into per-thread segments, reproducing the paper's Fig. 4
-//! setup — and, for the advisor cross-check, the equivalent analytic
-//! [`StreamDesc`] sets.
+//! candidate [`LayoutSpec`] it lays out its arrays — every array `j` with
+//! block offset `j · spec.block_offset`, split into per-thread segments
+//! (per row for Jacobi, per velocity block or pencil for LBM), reproducing
+//! the paper's Fig. 4 setup — and lists each sweep's rows: which thread
+//! runs them and which streams they touch at which addresses. That one row
+//! list feeds both the per-thread simulator programs
+//! ([`Workload::build_programs`]) and, from its first sweep, the analytic
+//! [`StreamUnit`]s of the advisor cross-check and the closed-form model
+//! ([`Workload::stream_units`]).
 
 use t2opt_core::advisor::{LayoutAdvisor, StreamDesc, StreamKind};
 use t2opt_core::json::ToJson;
 use t2opt_core::layout::{LayoutSpec, SegLayout, SegmentPlan};
 use t2opt_kernels::common::VirtualAlloc;
-use t2opt_kernels::lbm::{LbmLayout, C, FLOPS_PER_SITE, Q};
+use t2opt_kernels::lbm::{self, LbmLayout, FLOPS_PER_SITE, Q};
 use t2opt_model::{KernelShape, StreamUnit};
-use t2opt_parallel::{chunk_assignment, Schedule};
-use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
+use t2opt_sim::trace::{sweep_programs, Dir, Program, StreamLoop, StreamSpec};
 use t2opt_sim::ChipConfig;
 
 /// A tunable workload: a stream mix or a named kernel loop.
@@ -264,11 +267,6 @@ impl Workload {
         }
     }
 
-    /// Effective sampled y-rows per z-plane for [`Workload::Lbm`].
-    fn lbm_y_eff(n: usize, y_rows: usize) -> usize {
-        y_rows.min(n).max(1)
-    }
-
     /// Bytes the kernel is credited with per full run, for
     /// [`t2opt_sim::SimStats::reported_bandwidth_gbs`]. Stream workloads
     /// use the STREAM convention (each array touched once per element per
@@ -282,7 +280,7 @@ impl Workload {
             } => {
                 // 19 loads + 19 stores of 8 B per streamed site, over the
                 // sampled sites (x extent × sampled y rows × all z planes).
-                let sites = (n * Self::lbm_y_eff(*n, *y_rows) * n) as u64;
+                let sites = (n * lbm::y_eff(*n, Some(*y_rows)) * n) as u64;
                 sites * (2 * Q as u64 * 8) * *ntimes as u64
             }
             _ => (self.n() * 8 * self.kinds().len()) as u64 * self.ntimes() as u64,
@@ -348,247 +346,129 @@ impl Workload {
             .collect()
     }
 
-    /// Builds the per-thread simulator programs for one trial of `spec`:
-    /// thread `t` sweeps its segment of every array, `warmup + ntimes`
-    /// times, with a global barrier between sweeps. With warm-up enabled
-    /// the measurement window opens at barrier 0 (use
-    /// [`t2opt_sim::Simulation::measure_after_barrier`]).
-    pub fn build_programs(&self, spec: &LayoutSpec) -> Vec<Program> {
-        if let Workload::Jacobi {
-            dim,
-            threads,
-            ntimes,
-            warmup,
-        } = self
-        {
-            return self.build_jacobi_programs(spec, *dim, *threads, *ntimes, *warmup);
-        }
-        if let Workload::Lbm { .. } = self {
-            return self.build_lbm_programs(spec);
-        }
-        let kinds = self.kinds();
-        let arrays = self.layout_arrays(spec);
-        let sweeps = self.ntimes() as usize + usize::from(self.warmup());
-        let flops = self.flops_per_elem();
-        (0..self.threads())
-            .map(|t| {
-                let phases: Vec<StreamLoop> = (0..sweeps)
-                    .map(|_| {
-                        let streams: Vec<StreamSpec> = arrays
-                            .iter()
-                            .zip(kinds.iter())
-                            .map(|((base, layout), kind)| {
-                                let addr = base + layout.seg_byte_starts[t] as u64;
-                                match kind {
-                                    StreamKind::Read => StreamSpec::load(addr),
-                                    _ => StreamSpec::store(addr),
-                                }
-                            })
-                            .collect();
-                        StreamLoop::new(streams, arrays[0].1.seg_sizes[t], 8, flops, 64)
-                    })
-                    .collect();
-                chain_with_barriers(phases, 0)
-            })
-            .collect()
-    }
-
-    /// Per-thread Jacobi programs: each sweep streams the thread's interior
-    /// rows (round-robin ownership, the paper's `static,1`) with the toggle
-    /// grids swapping roles between barrier-separated sweeps.
-    fn build_jacobi_programs(
+    /// The rows of sweep `sweep` over `arrays` (from
+    /// [`Workload::layout_arrays`]), in analysis order: `(owner thread,
+    /// concurrent streams, elements)`. A stream mix or the triad has one
+    /// row per thread (its segment of every array); Jacobi has interior row
+    /// `i`, owned by thread `(i − 1) mod threads` (the paper's
+    /// `static,1`); LBM has each thread's sampled `(z, y)` rows
+    /// ([`lbm::plane_rows`]). Jacobi and LBM swap their toggle grids on odd
+    /// sweeps.
+    fn rows(
         &self,
-        spec: &LayoutSpec,
-        dim: usize,
-        threads: usize,
-        ntimes: u32,
-        warmup: bool,
-    ) -> Vec<Program> {
-        let arrays = self.layout_arrays(spec);
-        let row_base = |g: usize, i: usize| arrays[g].0 + arrays[g].1.seg_byte_starts[i] as u64;
-        let total_sweeps = ntimes as usize + usize::from(warmup);
-        (0..threads)
-            .map(|t| {
-                let mut sweeps = Vec::new();
-                for s in 0..total_sweeps {
-                    let (src, dst) = if s % 2 == 0 { (0, 1) } else { (1, 0) };
-                    let rows: Vec<StreamLoop> = (1..dim - 1)
-                        .filter(|i| (i - 1) % threads == t)
-                        .map(|i| {
-                            StreamLoop::new(
-                                vec![
-                                    StreamSpec::load(row_base(src, i - 1)),
-                                    StreamSpec::load(row_base(src, i)),
-                                    StreamSpec::load(row_base(src, i + 1)),
-                                    StreamSpec::store(row_base(dst, i)),
-                                ],
-                                dim,
-                                8,
-                                self.flops_per_elem(),
-                                64,
-                            )
-                        })
-                        .collect();
-                    sweeps.push(rows.into_iter().flatten());
-                }
-                chain_with_barriers(sweeps, 0)
-            })
-            .collect()
-    }
-
-    /// Per-thread (z, y) row list for [`Workload::Lbm`]: interior z-planes
-    /// statically chunked over threads (the paper's z-parallelization),
-    /// the first `y_eff` interior rows sampled in each plane.
-    fn lbm_rows(n: usize, threads: usize, y_rows: usize) -> Vec<Vec<(usize, usize)>> {
-        let y_eff = Self::lbm_y_eff(n, y_rows);
-        chunk_assignment(Schedule::Static, n, threads)
-            .into_iter()
-            .map(|chunks| {
-                chunks
-                    .iter()
-                    .flat_map(|ch| ch.range())
-                    .flat_map(|zi| (1..=y_eff).map(move |y| (zi + 1, y)))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Per-thread D3Q19 propagation programs: each sweep streams, for every
-    /// owned row, the 19 loads of the row's distributions plus the 19
-    /// pushed stores into the neighbor rows of the other toggle grid —
-    /// addressed through the candidate's segmented layout, so padding and
-    /// shift between velocity blocks (IJKv) or (y, z) pencils (IvJK) move
-    /// the stream bases exactly as the Fig. 7 hand-tuning does.
-    fn build_lbm_programs(&self, spec: &LayoutSpec) -> Vec<Program> {
-        let (n, layout, threads, y_rows, ntimes, warmup) = match self {
+        arrays: &[(u64, SegLayout)],
+        sweep: usize,
+    ) -> Vec<(usize, Vec<StreamSpec>, usize)> {
+        let (src, dst) = (sweep % 2, 1 - sweep % 2);
+        let seg_base = |g: usize, seg: usize| arrays[g].0 + arrays[g].1.seg_byte_starts[seg] as u64;
+        match *self {
+            Workload::Jacobi { dim, threads, .. } => (1..dim - 1)
+                .map(|i| {
+                    let streams = vec![
+                        StreamSpec::load(seg_base(src, i - 1)),
+                        StreamSpec::load(seg_base(src, i)),
+                        StreamSpec::load(seg_base(src, i + 1)),
+                        StreamSpec::store(seg_base(dst, i)),
+                    ];
+                    ((i - 1) % threads, streams, dim)
+                })
+                .collect(),
             Workload::Lbm {
                 n,
                 layout,
                 threads,
                 y_rows,
-                ntimes,
-                warmup,
-            } => (*n, *layout, *threads, *y_rows, *ntimes, *warmup),
-            _ => unreachable!("build_lbm_programs on a non-LBM workload"),
-        };
-        let d = n + 2;
-        let arrays = self.layout_arrays(spec);
-        let addr = |g: usize, x: usize, y: usize, z: usize, v: usize| -> u64 {
-            let (seg, local) = layout.seg_coords(d, x, y, z, v);
-            arrays[g].0 + arrays[g].1.elem_byte_offset(seg, local) as u64
-        };
-        let rows_per_thread = Self::lbm_rows(n, threads, y_rows);
-        let total_sweeps = ntimes as usize + usize::from(warmup);
-        (0..threads)
-            .map(|t| {
-                let rows = &rows_per_thread[t];
-                let mut phases = Vec::new();
-                for s in 0..total_sweeps {
-                    let (src, dst) = if s % 2 == 0 { (0, 1) } else { (1, 0) };
-                    let mut row_loops: Vec<StreamLoop> = Vec::new();
-                    for &(z, y) in rows {
-                        let mut streams = Vec::with_capacity(2 * Q);
-                        for v in 0..Q {
-                            streams.push(StreamSpec::load(addr(src, 1, y, z, v)));
-                        }
-                        for (v, &(cx, cy, cz)) in C.iter().enumerate() {
-                            let nx = (1 + cx) as usize;
-                            let ny = (y as i32 + cy) as usize;
-                            let nz = (z as i32 + cz) as usize;
-                            streams.push(StreamSpec::store(addr(dst, nx, ny, nz, v)));
-                        }
-                        row_loops.push(
-                            StreamLoop::new(streams, n, 8, FLOPS_PER_SITE, 64)
-                                // Two touches per line keep the set-thrash
-                                // re-misses visible (as in kernels::lbm).
-                                .with_touches(2),
-                        );
+                ..
+            } => {
+                // Sites are addressed through the candidate's segmented
+                // layout, so padding and shift between velocity blocks
+                // (IJKv) or (y, z) pencils (IvJK) move the stream bases
+                // exactly as the Fig. 7 hand-tuning does.
+                let grid = |g: usize| {
+                    move |x, y, z, v| {
+                        let (seg, local) = layout.seg_coords(n + 2, x, y, z, v);
+                        arrays[g].0 + arrays[g].1.elem_byte_offset(seg, local) as u64
                     }
-                    phases.push(row_loops.into_iter().flatten());
+                };
+                let mut rows = Vec::new();
+                let plane_rows = lbm::plane_rows(n, lbm::y_eff(n, Some(y_rows)), threads);
+                for (t, owned) in plane_rows.into_iter().enumerate() {
+                    for (z, y) in owned {
+                        rows.push((t, lbm::row_streams(y, z, grid(src), grid(dst)), n));
+                    }
                 }
-                chain_with_barriers(phases, 0)
-            })
-            .collect()
+                rows
+            }
+            Workload::StreamMix { .. } | Workload::Triad { .. } => {
+                let kinds = self.kinds();
+                (0..self.threads())
+                    .map(|t| {
+                        let streams = kinds
+                            .iter()
+                            .enumerate()
+                            .map(|(j, kind)| match kind {
+                                StreamKind::Read => StreamSpec::load(seg_base(j, t)),
+                                _ => StreamSpec::store(seg_base(j, t)),
+                            })
+                            .collect();
+                        (t, streams, arrays[0].1.seg_sizes[t])
+                    })
+                    .collect()
+            }
+        }
     }
 
-    /// The workload's lockstep units under `spec`: for each analysis unit
-    /// (a thread's segment sweep; an interior Jacobi row; a sampled LBM
-    /// row) the concurrent stream set at its absolute layout addresses,
-    /// plus the cache lines each stream advances over the measured sweeps.
-    /// This is the single source both predictors consume — the advisor's
-    /// relative [`Workload::predicted_efficiency`] and the closed-form
-    /// [`t2opt_model::PerfModel`] via [`Workload::model_shape`] — so the
-    /// two can never drift apart on what the kernel accesses.
+    /// Builds the per-thread simulator programs for one trial of `spec`:
+    /// `warmup + ntimes` sweeps of [`Workload::rows`], each row one
+    /// [`StreamLoop`] run by its owner, with a global barrier between
+    /// sweeps. With warm-up enabled the measurement window opens at
+    /// barrier 0 (use [`t2opt_sim::Simulation::measure_after_barrier`]).
+    pub fn build_programs(&self, spec: &LayoutSpec) -> Vec<Program> {
+        let arrays = self.layout_arrays(spec);
+        let flops = self.flops_per_elem();
+        // Two touches per line keep LBM's set-thrash re-misses visible (as
+        // in kernels::lbm).
+        let touches = match self {
+            Workload::Lbm { .. } => 2,
+            _ => 1,
+        };
+        let sweeps = (0..self.ntimes() as usize + usize::from(self.warmup()))
+            .map(|s| {
+                self.rows(&arrays, s)
+                    .into_iter()
+                    .map(|(t, streams, elems)| {
+                        (
+                            t,
+                            StreamLoop::new(streams, elems, 8, flops, 64).with_touches(touches),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        sweep_programs(self.threads(), sweeps)
+    }
+
+    /// The workload's lockstep units under `spec`: the rows of the first
+    /// simulated sweep ([`Workload::rows`]), each as its concurrent stream
+    /// set at absolute layout addresses plus the cache lines each stream
+    /// advances over the measured sweeps. Both predictors consume these —
+    /// the advisor's relative [`Workload::predicted_efficiency`] and the
+    /// closed-form [`t2opt_model::PerfModel`] via [`Workload::model_shape`]
+    /// — and the simulator runs the same rows, so none of the three can
+    /// drift apart on what the kernel accesses.
     pub fn stream_units(&self, spec: &LayoutSpec) -> Vec<StreamUnit> {
         let ntimes = self.ntimes() as u64;
-        let lines_of = |elems: usize| ((elems * 8) as u64).div_ceil(64) * ntimes;
-        if let Workload::Jacobi { dim, .. } = self {
-            let dim = *dim;
-            let arrays = self.layout_arrays(spec);
-            let row_base = |g: usize, i: usize| arrays[g].0 + arrays[g].1.seg_byte_starts[i] as u64;
-            return (1..dim - 1)
-                .map(|i| {
-                    StreamUnit::new(
-                        vec![
-                            StreamDesc::read(row_base(0, i - 1)),
-                            StreamDesc::read(row_base(0, i)),
-                            StreamDesc::read(row_base(0, i + 1)),
-                            StreamDesc::write(row_base(1, i)),
-                        ],
-                        lines_of(dim),
-                    )
-                })
-                .collect();
-        }
-        if let Workload::Lbm {
-            n,
-            layout,
-            threads,
-            y_rows,
-            ..
-        } = self
-        {
-            let (n, layout) = (*n, *layout);
-            let d = n + 2;
-            let arrays = self.layout_arrays(spec);
-            let addr = |g: usize, x: usize, y: usize, z: usize, v: usize| -> u64 {
-                let (seg, local) = layout.seg_coords(d, x, y, z, v);
-                arrays[g].0 + arrays[g].1.elem_byte_offset(seg, local) as u64
-            };
-            return Self::lbm_rows(n, *threads, *y_rows)
-                .into_iter()
-                .flatten()
-                .map(|(z, y)| {
-                    let mut streams = Vec::with_capacity(2 * Q);
-                    for v in 0..Q {
-                        streams.push(StreamDesc::read(addr(0, 1, y, z, v)));
-                    }
-                    for (v, &(cx, cy, cz)) in C.iter().enumerate() {
-                        streams.push(StreamDesc::write(addr(
-                            1,
-                            (1 + cx) as usize,
-                            (y as i32 + cy) as usize,
-                            (z as i32 + cz) as usize,
-                            v,
-                        )));
-                    }
-                    StreamUnit::new(streams, lines_of(n))
-                })
-                .collect();
-        }
-        let kinds = self.kinds();
-        let arrays = self.layout_arrays(spec);
-        (0..self.threads())
-            .map(|t| {
-                let streams: Vec<StreamDesc> = arrays
+        self.rows(&self.layout_arrays(spec), 0)
+            .into_iter()
+            .map(|(_, streams, elems)| {
+                let streams = streams
                     .iter()
-                    .zip(kinds.iter())
-                    .map(|((base, layout), &kind)| StreamDesc {
-                        base: base + layout.seg_byte_starts[t] as u64,
-                        kind,
+                    .map(|s| match s.dir {
+                        Dir::Load => StreamDesc::read(s.base),
+                        Dir::Store => StreamDesc::write(s.base),
                     })
                     .collect();
-                StreamUnit::new(streams, lines_of(arrays[0].1.seg_sizes[t]))
+                StreamUnit::new(streams, ((elems * 8) as u64).div_ceil(64) * ntimes)
             })
             .collect()
     }

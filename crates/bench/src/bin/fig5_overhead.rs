@@ -24,7 +24,7 @@ use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
 /// disappears into the memory time.
 fn sim_variant(ns: &[usize]) {
     use t2opt_kernels::common::{place_threads, VirtualAlloc};
-    use t2opt_sim::trace::{chain_with_barriers, Op, Program, StreamLoop, StreamSpec};
+    use t2opt_sim::trace::{sweep_programs, Op, StreamLoop, StreamSpec};
     use t2opt_sim::{ChipConfig, Simulation};
 
     let chip = ChipConfig::ultrasparc_t2();
@@ -44,37 +44,25 @@ fn sim_variant(ns: &[usize]) {
             let c = va.alloc(bytes, 8192, 256);
             let d = va.alloc(bytes, 8192, 384);
             let assignment = chunk_assignment(Schedule::Static, n, threads);
-            let programs: Vec<Program> = (0..threads)
-                .map(|tid| {
-                    let chunks = assignment[tid].clone();
-                    let mut sweeps = Vec::new();
-                    for _ in 0..2 {
-                        let mut per_chunk: Vec<Box<dyn Iterator<Item = Op>>> = Vec::new();
-                        for ch in &chunks {
-                            let off = ch.start as u64 * 8;
-                            let head: Box<dyn Iterator<Item = Op>> = if dispatch_overhead > 0 {
-                                Box::new(std::iter::once(Op::Delay(dispatch_overhead)))
-                            } else {
-                                Box::new(std::iter::empty())
-                            };
-                            per_chunk.push(Box::new(head.chain(StreamLoop::new(
-                                vec![
-                                    StreamSpec::load(b + off),
-                                    StreamSpec::load(c + off),
-                                    StreamSpec::load(d + off),
-                                    StreamSpec::store(a + off),
-                                ],
-                                ch.len(),
-                                8,
-                                2.0,
-                                64,
-                            ))));
-                        }
-                        sweeps.push(per_chunk.into_iter().flatten());
+            let sweep = || {
+                let mut loops = Vec::new();
+                for (tid, chunks) in assignment.iter().enumerate() {
+                    for ch in chunks {
+                        let off = ch.start as u64 * 8;
+                        let head = (dispatch_overhead > 0).then_some(Op::Delay(dispatch_overhead));
+                        let streams = vec![
+                            StreamSpec::load(b + off),
+                            StreamSpec::load(c + off),
+                            StreamSpec::load(d + off),
+                            StreamSpec::store(a + off),
+                        ];
+                        let body = StreamLoop::new(streams, ch.len(), 8, 2.0, 64);
+                        loops.push((tid, head.into_iter().chain(body)));
                     }
-                    chain_with_barriers(sweeps, 0)
-                })
-                .collect();
+                }
+                loops
+            };
+            let programs = sweep_programs(threads, vec![sweep(), sweep()]);
             let specs = place_threads(programs, &Placement::t2_scatter(), chip.core.n_cores);
             let sim = Simulation::new(chip.clone()).measure_after_barrier(0);
             let stats = sim.run(specs);

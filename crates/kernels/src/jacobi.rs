@@ -22,7 +22,7 @@ use crate::common::{place_threads, VirtualAlloc};
 use t2opt_core::layout::{LayoutSpec, SegLayout, SegmentPlan};
 use t2opt_core::seg_array::SegArray;
 use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
-use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
+use t2opt_sim::trace::{sweep_programs, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// Grid layout variant.
@@ -111,43 +111,30 @@ pub fn build_trace(cfg: &JacobiConfig, chip: &ChipConfig) -> Vec<Program> {
     let rows = cfg.n - 2;
     let assignment = chunk_assignment(cfg.schedule, rows, cfg.threads);
     let total_sweeps = cfg.sweeps + 1; // + warm-up
-
-    (0..cfg.threads)
-        .map(|tid| {
-            let chunks = assignment[tid].clone();
-            let grid_a = grid_a.clone();
-            let grid_b = grid_b.clone();
-            let n = cfg.n;
-            let mut sweeps = Vec::new();
-            for s in 0..total_sweeps {
-                let (src, dst): (&[u64], &[u64]) = if s % 2 == 0 {
-                    (&grid_a, &grid_b)
-                } else {
-                    (&grid_b, &grid_a)
-                };
-                let mut row_loops: Vec<StreamLoop> = Vec::new();
-                for ch in &chunks {
-                    for r in ch.range() {
-                        let i = r + 1; // interior row index
-                        row_loops.push(StreamLoop::new(
-                            vec![
-                                StreamSpec::load(src[i - 1]),
-                                StreamSpec::load(src[i]),
-                                StreamSpec::load(src[i + 1]),
-                                StreamSpec::store(dst[i]),
-                            ],
-                            n,
-                            8,
-                            4.0,
-                            line,
-                        ));
-                    }
+    let sweeps = (0..total_sweeps)
+        .map(|s| {
+            let (src, dst) = if s % 2 == 0 {
+                (&grid_a, &grid_b)
+            } else {
+                (&grid_b, &grid_a)
+            };
+            let mut row_loops = Vec::new();
+            for (tid, chunks) in assignment.iter().enumerate() {
+                // Chunk row r is interior row i = r + 1.
+                for i in chunks.iter().flat_map(|ch| ch.range()).map(|r| r + 1) {
+                    let streams = vec![
+                        StreamSpec::load(src[i - 1]),
+                        StreamSpec::load(src[i]),
+                        StreamSpec::load(src[i + 1]),
+                        StreamSpec::store(dst[i]),
+                    ];
+                    row_loops.push((tid, StreamLoop::new(streams, cfg.n, 8, 4.0, line)));
                 }
-                sweeps.push(row_loops.into_iter().flatten());
             }
-            chain_with_barriers(sweeps, 0)
+            row_loops
         })
-        .collect()
+        .collect();
+    sweep_programs(cfg.threads, sweeps)
 }
 
 /// Result of a simulated Jacobi run.

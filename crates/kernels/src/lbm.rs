@@ -25,7 +25,7 @@
 use crate::common::{place_threads, VirtualAlloc};
 use t2opt_core::json::ToJson;
 use t2opt_parallel::{chunk_assignment, Coalesce2, Placement, Schedule, ThreadPool};
-use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
+use t2opt_sim::trace::{sweep_programs, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// Number of discrete velocities in the D3Q19 model.
@@ -518,13 +518,57 @@ impl LbmConfig {
 
     /// Effective y-rows per plane.
     pub fn y_eff(&self) -> usize {
-        self.y_rows.map_or(self.n, |k| k.min(self.n)).max(1)
+        y_eff(self.n, self.y_rows)
     }
 
     /// Site updates per measured run (sampled rows × full x extent).
     pub fn site_updates(&self) -> u64 {
         (self.n as u64) * (self.y_eff() as u64) * (self.n as u64) * self.timesteps as u64
     }
+}
+
+/// Sampled y-rows per z-plane of an `n³` interior when `y_rows` rows are
+/// requested (`None` = all): clamped to `1..=n`.
+pub fn y_eff(n: usize, y_rows: Option<usize>) -> usize {
+    y_rows.map_or(n, |k| k.min(n)).max(1)
+}
+
+/// The unfused per-thread `(z, y)` row lists: interior z-planes statically
+/// chunked over `threads` (the paper's z-parallelization), the first
+/// `y_eff` interior rows of each plane in order.
+pub fn plane_rows(n: usize, y_eff: usize, threads: usize) -> Vec<Vec<(usize, usize)>> {
+    chunk_assignment(Schedule::Static, n, threads)
+        .into_iter()
+        .map(|chunks| {
+            chunks
+                .iter()
+                .flat_map(|ch| ch.range())
+                .flat_map(|zi| (1..=y_eff).map(move |y| (zi + 1, y)))
+                .collect()
+        })
+        .collect()
+}
+
+/// The 38 concurrent streams of interior row `(z, y)`: the 19 loads of the
+/// row's distributions at x = 1 in the source grid, then the 19 stores
+/// pushed along `C` into the neighbor rows of the destination grid. `src`
+/// and `dst` map `(x, y, z, v)` to a byte address, so each caller keeps
+/// its own addressing (flat [`LbmLayout::index`] here, a segmented layout
+/// in the tuner).
+pub fn row_streams(
+    y: usize,
+    z: usize,
+    src: impl Fn(usize, usize, usize, usize) -> u64,
+    dst: impl Fn(usize, usize, usize, usize) -> u64,
+) -> Vec<StreamSpec> {
+    let loads = (0..Q).map(|v| StreamSpec::load(src(1, y, z, v)));
+    let stores = C.iter().enumerate().map(|(v, &(cx, cy, cz))| {
+        let nx = (1 + cx) as usize;
+        let ny = (y as i32 + cy) as usize;
+        let nz = (z as i32 + cz) as usize;
+        StreamSpec::store(dst(nx, ny, nz, v))
+    });
+    loads.chain(stores).collect()
 }
 
 /// Builds the per-thread simulator programs: `timesteps` steps (at least
@@ -560,58 +604,35 @@ pub fn build_trace(cfg: &LbmConfig, chip: &ChipConfig) -> Vec<Program> {
             })
             .collect()
     } else {
-        chunk_assignment(Schedule::Static, n, cfg.threads)
-            .into_iter()
-            .map(|chunks| {
-                chunks
-                    .iter()
-                    .flat_map(|ch| ch.range())
-                    .flat_map(|zi| (1..=y_eff).map(move |y| (zi + 1, y)))
-                    .collect()
-            })
-            .collect()
+        plane_rows(n, y_eff, cfg.threads)
     };
 
-    let addr = move |base: u64, x: usize, y: usize, z: usize, v: usize| -> u64 {
-        base + layout.index(d, x, y, z, v) as u64 * es
-    };
-
-    (0..cfg.threads)
-        .map(|tid| {
-            let rows = rows_per_thread[tid].clone();
-            let mut phases = Vec::new();
-            for step in 0..cfg.timesteps.max(1) {
-                let (src, dst) = if step % 2 == 0 {
-                    (base_a, base_b)
-                } else {
-                    (base_b, base_a)
-                };
-                let mut row_loops: Vec<StreamLoop> = Vec::new();
-                for &(z, y) in &rows {
-                    let mut streams = Vec::with_capacity(2 * Q);
-                    for v in 0..Q {
-                        streams.push(StreamSpec::load(addr(src, 1, y, z, v)));
-                    }
-                    for v in 0..Q {
-                        let (cx, cy, cz) = C[v];
-                        let nx = (1 + cx) as usize;
-                        let ny = (y as i32 + cy) as usize;
-                        let nz = (z as i32 + cz) as usize;
-                        streams.push(StreamSpec::store(addr(dst, nx, ny, nz, v)));
-                    }
-                    row_loops.push(
+    let addr = |base: u64| move |x, y, z, v| base + layout.index(d, x, y, z, v) as u64 * es;
+    let sweeps = (0..cfg.timesteps.max(1))
+        .map(|step| {
+            let (src, dst) = if step % 2 == 0 {
+                (base_a, base_b)
+            } else {
+                (base_b, base_a)
+            };
+            let mut row_loops = Vec::new();
+            for (tid, rows) in rows_per_thread.iter().enumerate() {
+                for &(z, y) in rows {
+                    let streams = row_streams(y, z, addr(src), addr(dst));
+                    row_loops.push((
+                        tid,
                         StreamLoop::new(streams, n, cfg.elem_size, FLOPS_PER_SITE, line)
                             // Two touches per line expose the intra-line
                             // re-misses of the N+2 = 0 (mod 64) set
                             // thrashing (see StreamLoop::with_touches).
                             .with_touches(2),
-                    );
+                    ));
                 }
-                phases.push(row_loops.into_iter().flatten());
             }
-            chain_with_barriers(phases, 0)
+            row_loops
         })
-        .collect()
+        .collect();
+    sweep_programs(cfg.threads, sweeps)
 }
 
 /// Result of a simulated LBM run.

@@ -23,7 +23,7 @@
 use crate::common::{place_threads, VirtualAlloc};
 use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
 use t2opt_sim::telemetry::timeline::{StreamLabel, Timeline, TraceConfig};
-use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
+use t2opt_sim::trace::{sweep_programs, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// Which STREAM kernel to run.
@@ -142,30 +142,26 @@ pub fn build_trace(cfg: &StreamConfig, kernel: StreamKernel, chip: &ChipConfig) 
     let line = chip.l2.line;
 
     let assignment = chunk_assignment(Schedule::Static, cfg.n, cfg.threads);
-    (0..cfg.threads)
-        .map(|tid| {
-            let chunks = assignment[tid].clone();
-            let kernel_streams = kernel.streams(a, b, c);
-            let flops = kernel.flops_per_elem();
-            let mut sweeps = Vec::new();
-            for _ in 0..=cfg.ntimes {
-                // One sweep = this thread's chunks in order.
-                let mut per_chunk: Vec<StreamLoop> = Vec::new();
-                for ch in &chunks {
-                    let bases: Vec<StreamSpec> = kernel_streams
-                        .iter()
-                        .map(|s| StreamSpec {
-                            base: s.base + ch.start as u64 * 8,
-                            dir: s.dir,
-                        })
-                        .collect();
-                    per_chunk.push(StreamLoop::new(bases, ch.len(), 8, flops, line));
-                }
-                sweeps.push(per_chunk.into_iter().flatten());
+    let kernel_streams = kernel.streams(a, b, c);
+    let flops = kernel.flops_per_elem();
+    // One sweep = every thread's chunks in order.
+    let sweep = || {
+        let mut loops = Vec::new();
+        for (tid, chunks) in assignment.iter().enumerate() {
+            for ch in chunks {
+                let bases = kernel_streams
+                    .iter()
+                    .map(|s| StreamSpec {
+                        base: s.base + ch.start as u64 * 8,
+                        dir: s.dir,
+                    })
+                    .collect();
+                loops.push((tid, StreamLoop::new(bases, ch.len(), 8, flops, line)));
             }
-            chain_with_barriers(sweeps, 0)
-        })
-        .collect()
+        }
+        loops
+    };
+    sweep_programs(cfg.threads, (0..=cfg.ntimes).map(|_| sweep()).collect())
 }
 
 /// Result of a simulated STREAM run.

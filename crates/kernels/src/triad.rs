@@ -22,7 +22,7 @@ use t2opt_core::iter::seg_zip4;
 use t2opt_core::layout::LayoutSpec;
 use t2opt_core::seg_array::SegArray;
 use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
-use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
+use t2opt_sim::trace::{sweep_programs, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// How the four arrays are laid out (the Fig. 4 variants).
@@ -154,35 +154,26 @@ pub fn build_trace(cfg: &TriadConfig, chip: &ChipConfig) -> Vec<Program> {
         }
     };
 
-    (0..cfg.threads)
-        .map(|tid| {
-            let chunks = assignment[tid].clone();
+    let sweep = || {
+        let mut loops = Vec::new();
+        for (tid, chunks) in assignment.iter().enumerate() {
             let [a, b, c, d] = chunk_bases[tid];
             let chunk_start = chunks.first().map_or(0, |ch| ch.start);
-            let mut sweeps = Vec::new();
-            for _ in 0..=cfg.ntimes {
-                let mut per_chunk: Vec<StreamLoop> = Vec::new();
-                for ch in &chunks {
-                    // Offsets are relative to this thread's own chunk base.
-                    let off = (ch.start - chunk_start) as u64 * 8;
-                    per_chunk.push(StreamLoop::new(
-                        vec![
-                            StreamSpec::load(b + off),
-                            StreamSpec::load(c + off),
-                            StreamSpec::load(d + off),
-                            StreamSpec::store(a + off),
-                        ],
-                        ch.len(),
-                        8,
-                        2.0,
-                        line,
-                    ));
-                }
-                sweeps.push(per_chunk.into_iter().flatten());
+            for ch in chunks {
+                // Offsets are relative to this thread's own chunk base.
+                let off = (ch.start - chunk_start) as u64 * 8;
+                let streams = vec![
+                    StreamSpec::load(b + off),
+                    StreamSpec::load(c + off),
+                    StreamSpec::load(d + off),
+                    StreamSpec::store(a + off),
+                ];
+                loops.push((tid, StreamLoop::new(streams, ch.len(), 8, 2.0, line)));
             }
-            chain_with_barriers(sweeps, 0)
-        })
-        .collect()
+        }
+        loops
+    };
+    sweep_programs(cfg.threads, (0..=cfg.ntimes).map(|_| sweep()).collect())
 }
 
 /// Runs one vector-triad configuration on the T2 simulator.

@@ -120,7 +120,7 @@ impl Simulation {
 
     /// Starts the measurement window when barrier `id` releases: all
     /// counters collected before it are discarded. Use the warm-up sweep +
-    /// barrier pattern from [`crate::trace::chain_with_barriers`].
+    /// barrier pattern from [`crate::trace::sweep_programs`].
     pub fn measure_after_barrier(mut self, id: u32) -> Self {
         self.measure_after_barrier = Some(id);
         self
@@ -1158,7 +1158,7 @@ impl<'a, P: SimProbe> Engine<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{chain_with_barriers, StreamLoop, StreamSpec};
+    use crate::trace::{sweep_programs, StreamLoop, StreamSpec};
 
     fn ops(v: Vec<Op>) -> Program {
         Box::new(v.into_iter())
@@ -1489,8 +1489,8 @@ mod tests {
         // Small array fits in L2: sweep twice; the measured window sees only
         // hits.
         let sweep = || StreamLoop::new(vec![StreamSpec::load(0)], 1 << 10, 8, 0.0, 64);
-        let program = chain_with_barriers(vec![sweep(), sweep()], 0);
-        let stats = sim.run(vec![ThreadSpec::new(0, program)]);
+        let mut programs = sweep_programs(1, vec![vec![(0, sweep())], vec![(0, sweep())]]);
+        let stats = sim.run(vec![ThreadSpec::new(0, programs.remove(0))]);
         assert_eq!(stats.l2_misses, 0, "second sweep must be all hits");
         assert!(stats.l2_hits > 0);
     }

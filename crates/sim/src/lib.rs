@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::engine::{Simulation, ThreadSpec};
     pub use crate::policy::{MemRequest, PolicyKind, QueuePolicy, ReqClass, POLICY_NAMES};
     pub use crate::stats::SimStats;
-    pub use crate::trace::{chain_with_barriers, Dir, Op, Program, StreamLoop, StreamSpec};
+    pub use crate::trace::{sweep_programs, Dir, Op, Program, StreamLoop, StreamSpec};
     pub use t2opt_core::mapping::{AddressMap, MapPolicy};
     pub use t2opt_telemetry::alias::{AliasConfig, AliasReport};
     pub use t2opt_telemetry::timeline::{StreamLabel, Timeline, TraceConfig};

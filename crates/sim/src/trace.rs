@@ -7,6 +7,11 @@
 //! elements and emits one `Read`/`Write` per stream exactly when the walk
 //! enters a new cache line of that stream, plus the configured compute work.
 //! Arbitrary kernels can supply any `Iterator<Item = Op>`.
+//!
+//! Every kernel lists each sweep's work as `(owner thread, loop)` items in
+//! the order its access analysis enumerates them (a thread's chunks, a
+//! grid's rows); [`sweep_programs`] turns those lists into per-thread
+//! programs with a global barrier between sweeps.
 
 /// One simulated-thread operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,22 +213,44 @@ impl Iterator for StreamLoop {
     }
 }
 
-/// Convenience: chains op iterators with a barrier between consecutive
-/// phases (e.g. repeated benchmark sweeps). `first_barrier_id` is the id of
-/// the barrier after phase 0; ids increase by one per boundary.
-pub fn chain_with_barriers<I>(phases: Vec<I>, first_barrier_id: u32) -> Program
+/// Builds every simulated thread's program from per-sweep work lists.
+///
+/// `sweeps[s]` lists sweep `s`'s work items as `(owner thread, ops)`.
+/// Thread `t` runs its items of sweep `s` in list order, then waits at
+/// barrier `s` (no barrier follows the last sweep) — also when it owns
+/// nothing in that sweep, as every thread meets the implicit barrier at
+/// the end of an OpenMP parallel-for. So with a warm-up sweep first, the
+/// measurement window opens at barrier 0
+/// ([`crate::Simulation::measure_after_barrier`]).
+///
+/// # Panics
+/// Panics if an item's owner is not below `threads`.
+pub fn sweep_programs<I>(threads: usize, sweeps: Vec<Vec<(usize, I)>>) -> Vec<Program>
 where
     I: Iterator<Item = Op> + 'static,
 {
-    let n = phases.len();
-    Box::new(phases.into_iter().enumerate().flat_map(move |(k, phase)| {
-        let barrier = if k + 1 < n {
-            Some(Op::Barrier(first_barrier_id + k as u32))
-        } else {
-            None
-        };
-        phase.chain(barrier)
-    }))
+    let last = sweeps.len().saturating_sub(1);
+    let mut work: Vec<Vec<Vec<I>>> = (0..threads)
+        .map(|_| (0..sweeps.len()).map(|_| Vec::new()).collect())
+        .collect();
+    for (s, items) in sweeps.into_iter().enumerate() {
+        for (owner, item) in items {
+            work[owner][s].push(item);
+        }
+    }
+    work.into_iter()
+        .map(|per_sweep| -> Program {
+            Box::new(
+                per_sweep
+                    .into_iter()
+                    .enumerate()
+                    .flat_map(move |(s, items)| {
+                        let barrier = (s < last).then_some(Op::Barrier(s as u32));
+                        items.into_iter().flatten().chain(barrier)
+                    }),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -332,24 +359,23 @@ mod tests {
     }
 
     #[test]
-    fn chain_inserts_barriers_between_phases() {
-        let p = chain_with_barriers(
+    fn sweeps_end_in_barriers_even_for_idle_threads() {
+        let one = |a: u64| vec![Op::Read(a)].into_iter();
+        let programs = sweep_programs(
+            3,
             vec![
-                vec![Op::Read(0)].into_iter(),
-                vec![Op::Read(64)].into_iter(),
-                vec![Op::Read(128)].into_iter(),
+                vec![(0, one(0)), (2, one(64)), (0, one(128))],
+                vec![(1, one(192))],
+                vec![(2, one(256))],
             ],
-            0,
         );
-        let ops: Vec<Op> = p.collect();
+        let ops: Vec<Vec<Op>> = programs.into_iter().map(|p| p.collect()).collect();
         assert_eq!(
             ops,
             vec![
-                Op::Read(0),
-                Op::Barrier(0),
-                Op::Read(64),
-                Op::Barrier(1),
-                Op::Read(128),
+                vec![Op::Read(0), Op::Read(128), Op::Barrier(0), Op::Barrier(1)],
+                vec![Op::Barrier(0), Op::Read(192), Op::Barrier(1)],
+                vec![Op::Read(64), Op::Barrier(0), Op::Barrier(1), Op::Read(256)],
             ]
         );
     }
