@@ -104,10 +104,17 @@ pub struct AdviceService {
     sink: Arc<Sink>,
     traces: Arc<TraceBuffer>,
     // Hot-path instruments, resolved once at construction so request
-    // handling never takes the sink's registry mutex.
+    // handling never takes the sink's registry mutex. Resolving registers
+    // them too, so the Prometheus exposition shows each even at zero.
     lat_cache_us: Arc<Histogram>,
     lat_advisor_us: Arc<Histogram>,
     queue_wait_us: Arc<Histogram>,
+    requests: Arc<Counter>,
+    advise_requests: Arc<Counter>,
+    cache_tier: Arc<Counter>,
+    advisor_tier: Arc<Counter>,
+    not_found: Arc<Counter>,
+    bad_method: Arc<Counter>,
     bad_parse: Arc<Counter>,
     bad_chip: Arc<Counter>,
     bad_workload: Arc<Counter>,
@@ -134,18 +141,6 @@ impl AdviceService {
             .map(|e| (e.spec.name.clone(), e))
             .collect();
         let sink = Sink::enabled();
-        // Pre-register every counter the Prometheus exposition should
-        // show even at zero.
-        for name in [
-            "serve.requests",
-            "serve.advise",
-            "serve.cache_tier",
-            "serve.advisor_tier",
-            "serve.not_found",
-            "serve.bad_method",
-        ] {
-            sink.counter(name);
-        }
         store.metrics().set_lock_timing(true);
         AdviceService {
             store,
@@ -155,6 +150,12 @@ impl AdviceService {
             lat_cache_us: sink.histogram("serve.latency.cache_tier_us"),
             lat_advisor_us: sink.histogram("serve.latency.advisor_tier_us"),
             queue_wait_us: sink.histogram("refine.queue_wait_us"),
+            requests: sink.counter("serve.requests"),
+            advise_requests: sink.counter("serve.advise"),
+            cache_tier: sink.counter("serve.cache_tier"),
+            advisor_tier: sink.counter("serve.advisor_tier"),
+            not_found: sink.counter("serve.not_found"),
+            bad_method: sink.counter("serve.bad_method"),
             bad_parse: sink.counter("serve.bad_requests.parse"),
             bad_chip: sink.counter("serve.bad_requests.chip"),
             bad_workload: sink.counter("serve.bad_requests.workload"),
@@ -214,7 +215,7 @@ impl AdviceService {
         tid: u32,
         received_at: Option<Instant>,
     ) -> Response {
-        self.sink.counter("serve.requests").inc();
+        self.requests.inc();
         let (route, query) = match path.split_once('?') {
             Some((r, q)) => (r, q),
             None => (path, ""),
@@ -240,11 +241,11 @@ impl AdviceService {
                 self.store.shard_count()
             )),
             ("GET" | "POST", _) => {
-                self.sink.counter("serve.not_found").inc();
+                self.not_found.inc();
                 Response::error(404, &format!("no such endpoint {route}"))
             }
             _ => {
-                self.sink.counter("serve.bad_method").inc();
+                self.bad_method.inc();
                 Response::error(
                     405,
                     "use POST /advise, GET /metrics, GET /trace, GET /healthz",
@@ -274,7 +275,7 @@ impl AdviceService {
         tid: u32,
         received_at: Option<Instant>,
     ) -> Response {
-        self.sink.counter("serve.advise").inc();
+        self.advise_requests.inc();
         let t0 = Instant::now();
         let (response, tier) = self.advise_inner(body, ctx, tid);
         if received_at.is_none() {
@@ -373,7 +374,7 @@ impl AdviceService {
                 .is_some_and(|m| m.tag.ends_with(REFINED_SUFFIX))
         });
         let (answer, tier) = if refined {
-            self.sink.counter("serve.cache_tier").inc();
+            self.cache_tier.inc();
             let e = stored.expect("refined implies an entry");
             let answer = AdviseAnswer {
                 chip: query.chip.clone(),
@@ -388,7 +389,7 @@ impl AdviceService {
             };
             (answer, Tier::Cache)
         } else {
-            self.sink.counter("serve.advisor_tier").inc();
+            self.advisor_tier.inc();
             let predicted;
             {
                 let _model_span = ctx.span("advisor.model", tid);
@@ -522,13 +523,12 @@ impl AdviceService {
     /// rejection counters, so the shape predates the class split.
     pub fn metrics_json(&self) -> String {
         self.store.metrics().publish(&self.sink);
-        let counter = |name: &str| self.sink.counter(name).get();
         format!(
             r#"{{"serve":{{"requests":{},"advise":{},"cache_tier":{},"advisor_tier":{},"bad_requests":{}}},"refine":{},"store":{}}}"#,
-            counter("serve.requests"),
-            counter("serve.advise"),
-            counter("serve.cache_tier"),
-            counter("serve.advisor_tier"),
+            self.requests.get(),
+            self.advise_requests.get(),
+            self.cache_tier.get(),
+            self.advisor_tier.get(),
             self.bad_requests_total(),
             self.refine.snapshot_json(),
             to_json_string(&self.store.snapshot()),
